@@ -4,8 +4,10 @@ The paper evaluates every approach on 20,000 execution scenarios per
 fault count (0, 1, 2, 3 faults), with actual execution times drawn
 uniformly from [BCET, WCET].  Crucially, the *same* scenarios are
 replayed against every approach — the comparison is paired — which is
-what :class:`MonteCarloEvaluator` implements: scenarios are generated
-once per (application, fault count) and each plan runs them all.
+what :class:`MonteCarloEvaluator` implements: the scenario sets are
+drawn once per application, straight into
+:class:`~repro.runtime.engine.batch.ScenarioBatch` arrays by
+:meth:`ScenarioBatch.sample_paired`, and each plan runs them all.
 
 Two interchangeable engines execute the replay:
 
@@ -13,8 +15,8 @@ Two interchangeable engines execute the replay:
   :class:`~repro.runtime.online.OnlineScheduler` event loop, one
   scenario at a time (the behavioral oracle);
 * ``engine="batched"`` — the array-based
-  :class:`~repro.runtime.engine.simulator.BatchSimulator`, which packs
-  each scenario set into a :class:`ScenarioBatch` and is bit-identical
+  :class:`~repro.runtime.engine.simulator.BatchSimulator`, which
+  replays the sampled arrays directly and is bit-identical
   to the oracle (see ``tests/test_engine_differential.py``) while an
   order of magnitude faster;
 * ``engine="kernel"`` — the generated-C
@@ -50,7 +52,7 @@ from repro.execution import (
     choices_line,
     resolve_execution,
 )
-from repro.faults.injection import ExecutionScenario, ScenarioSampler
+from repro.faults.injection import ExecutionScenario
 from repro.model.application import Application
 from repro.quasistatic.tree import QSTree
 from repro.runtime.engine.batch import ScenarioBatch
@@ -151,7 +153,9 @@ class MonteCarloEvaluator:
         Which fault counts to evaluate (default 0..k); must be
         non-empty.
     seed:
-        Seed of the scenario sampler.
+        Seed of the scenario sampler, which fills :attr:`batches`
+        (see :meth:`ScenarioBatch.sample_paired`) in the constructor;
+        :attr:`scenarios` unpacks them into objects on first use.
     execution:
         An :class:`~repro.execution.ExecutionConfig` or spec string
         (``"reference"``, ``"kernel@threads:8"``,
@@ -185,8 +189,6 @@ class MonteCarloEvaluator:
         jobs: Optional[int] = None,
         resources=None,
     ):
-        if n_scenarios < 1:
-            raise RuntimeModelError("need at least one scenario")
         self.app = app
         self.n_scenarios = int(n_scenarios)
         self.seed = seed
@@ -206,40 +208,15 @@ class MonteCarloEvaluator:
             if fault_counts is not None
             else list(range(app.k + 1))
         )
-        if not self.fault_counts:
-            raise RuntimeModelError(
-                "need at least one fault count to evaluate"
-            )
         # Couple the fault-count axes: the i-th scenario of every fault
         # count shares the same execution-time draws, differing only in
         # the fault pattern.  Cross-fault-count comparisons ("utility
         # drops by x% under one fault") are then paired rather than
         # independent, which removes most of the sampling noise.
-        from repro.faults.scenarios import sample_scenario
-
-        sampler = ScenarioSampler(app, seed=seed)
-        max_attempts = max(self.fault_counts, default=0) + 1
-        names = [p.name for p in app.processes]
-        duration_sets = [
-            {
-                name: tuple(values)
-                for name, values in sampler.sample_durations(
-                    max_attempts
-                ).items()
-            }
-            for _ in range(n_scenarios)
-        ]
-        self.scenarios: Dict[int, List[ExecutionScenario]] = {}
-        for f in self.fault_counts:
-            patterns = [
-                sample_scenario(names, f, sampler.rng)
-                for _ in range(n_scenarios)
-            ]
-            self.scenarios[f] = [
-                ExecutionScenario(durations, pattern)
-                for durations, pattern in zip(duration_sets, patterns)
-            ]
-        self._batches: Dict[int, ScenarioBatch] = {}
+        self.batches: Dict[int, ScenarioBatch] = ScenarioBatch.sample_paired(
+            app, self.n_scenarios, self.fault_counts, seed
+        )
+        self._scenarios: Optional[Dict[int, List[ExecutionScenario]]] = None
         # Persistent sharded executors, one per ExecutionConfig: the
         # worker pool / thread pool and shared-memory scenario
         # segments survive across evaluate()/compare() calls (see
@@ -249,15 +226,19 @@ class MonteCarloEvaluator:
     # ------------------------------------------------------------------
     # Simulation primitives (shared by in-process and sharded paths)
     # ------------------------------------------------------------------
-    def _batch_for(self, faults: int) -> ScenarioBatch:
-        """The packed form of one scenario set (cached per fault count)."""
-        batch = self._batches.get(faults)
-        if batch is None:
-            batch = ScenarioBatch.from_scenarios(
-                self.app, self.scenarios[faults]
-            )
-            self._batches[faults] = batch
-        return batch
+    @property
+    def scenarios(self) -> Dict[int, List[ExecutionScenario]]:
+        """The scenario sets as objects, one list per fault count.
+
+        Materialised from :attr:`batches` on first access and cached;
+        only the reference engine and the online replanner need them.
+        """
+        if self._scenarios is None:
+            self._scenarios = {
+                faults: batch.scenarios()
+                for faults, batch in self.batches.items()
+            }
+        return self._scenarios
 
     @staticmethod
     def _reference_raw(
@@ -287,27 +268,6 @@ class MonteCarloEvaluator:
             int(result.switch_counts.sum()),
             int(result.faults_observed.sum()),
             result.n_fallback,
-        )
-
-    def simulate_raw(
-        self,
-        plan: Plan,
-        scenarios: Sequence[ExecutionScenario],
-        engine: Optional[str] = None,
-    ) -> RawOutcome:
-        """Simulate an explicit scenario list; returns raw counts.
-
-        The building block :class:`ParallelEvaluator` workers call on
-        their shard slices.
-        """
-        engine = self.engine if engine is None else _check_engine(engine)
-        if engine in ("batched", "kernel"):
-            return self._batched_raw(
-                self._simulator_for(engine, plan),
-                ScenarioBatch.from_scenarios(self.app, scenarios),
-            )
-        return self._reference_raw(
-            OnlineScheduler(self.app, plan, record_events=False), scenarios
         )
 
     def _simulator_for(self, engine: str, plan: Plan) -> BatchSimulator:
@@ -357,7 +317,7 @@ class MonteCarloEvaluator:
         if engine in ("batched", "kernel"):
             simulator = self._simulator_for(engine, plan)
             for faults in self.fault_counts:
-                raw = self._batched_raw(simulator, self._batch_for(faults))
+                raw = self._batched_raw(simulator, self.batches[faults])
                 outcomes[faults] = EvaluationOutcome.aggregate(*raw)
         else:
             scheduler = OnlineScheduler(self.app, plan, record_events=False)

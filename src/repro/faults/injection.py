@@ -118,7 +118,6 @@ class ScenarioSampler:
             raise ModelError("pass either seed or rng, not both")
         self._app = app
         self._rng = rng if rng is not None else np.random.default_rng(seed)
-        self._names = [p.name for p in app.processes]
 
     @property
     def rng(self) -> np.random.Generator:
@@ -143,32 +142,23 @@ class ScenarioSampler:
 
         Fault locations are uniform over processes (multiset), matching
         the simulation setup in §6 where scenarios for 0..3 faults are
-        evaluated separately.
+        evaluated separately.  Draws the fault picks first, then every
+        attempt's execution time (see :meth:`sample_batch`).
         """
-        from repro.faults.scenarios import sample_scenario
-
-        if faults > self._app.k:
-            raise ModelError(
-                f"{faults} faults exceed the application's budget k="
-                f"{self._app.k}"
-            )
-        pattern = sample_scenario(self._names, faults, self._rng)
-        durations = self.sample_durations(max_attempts=faults + 1)
-        return ExecutionScenario(
-            {n: tuple(v) for n, v in durations.items()}, pattern
-        )
+        return self.sample_batch(1, faults).scenario(0)
 
     def sample_many(self, count: int, faults: int = 0) -> List[ExecutionScenario]:
         """``count`` independent scenarios with exactly ``faults`` faults."""
-        return [self.sample(faults) for _ in range(count)]
+        if count < 1:
+            return []
+        return self.sample_batch(count, faults).scenarios()
 
     def sample_batch(self, count: int, faults: int = 0) -> "ScenarioBatch":
         """``count`` scenarios packed into arrays for the batched engine.
 
-        Makes the same RNG calls in the same order as
-        :meth:`sample_many`, so the arrays are byte-identical to the
-        packed form of the per-scenario draws (see
-        :class:`repro.runtime.engine.batch.ScenarioBatch`).
+        Consumes the same stream as :meth:`sample_many`, so the arrays
+        are byte-identical to the packed form of the per-scenario draws
+        (see :meth:`repro.runtime.engine.batch.ScenarioBatch.sample`).
         """
         from repro.runtime.engine.batch import ScenarioBatch
 

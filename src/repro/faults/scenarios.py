@@ -66,6 +66,14 @@ def count_scenarios(n_processes: int, k: int) -> int:
     return sum(comb(n_processes + f - 1, f) for f in range(k + 1))
 
 
+def check_fault_count(faults: int, n_processes: int) -> None:
+    """Reject a fault count no scenario over ``n_processes`` can have."""
+    if faults < 0:
+        raise ModelError(f"fault count must be non-negative, got {faults}")
+    if faults > 0 and n_processes == 0:
+        raise ModelError("cannot place faults: no processes")
+
+
 def sample_scenario(
     process_names: Sequence[str],
     faults: int,
@@ -73,12 +81,9 @@ def sample_scenario(
 ) -> FaultScenario:
     """Sample a scenario with exactly ``faults`` faults, uniformly over
     process multisets."""
-    if faults < 0:
-        raise ModelError(f"fault count must be non-negative, got {faults}")
+    check_fault_count(faults, len(process_names))
     if faults == 0:
         return FaultScenario.none()
-    if not process_names:
-        raise ModelError("cannot place faults: no processes")
     picks = rng.choice(len(process_names), size=faults, replace=True)
     hits = {}
     for idx in picks:

@@ -30,8 +30,8 @@ parameters and the plans' canonical JSON forms.
 :class:`JournalingEvaluator` wraps the runner's Monte-Carlo evaluator:
 a journal hit decodes the stored
 :class:`~repro.evaluation.montecarlo.EvaluationOutcome` values without
-constructing the real evaluator at all (skipping its eager scenario
-sampling — the expensive part at paper scale), and floats round-trip
+constructing the real evaluator at all (so no scenarios are sampled
+and no plan is compiled or simulated), and floats round-trip
 exactly through JSON (``repr`` shortest-form, the same guarantee the
 golden differential suite relies on).
 """

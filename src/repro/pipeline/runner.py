@@ -215,7 +215,7 @@ class ExperimentRunner:
         :class:`~repro.pipeline.checkpoint.JournalingEvaluator`:
         completed units are journaled durably, already-journaled ones
         are decoded instead of re-simulated, and the underlying
-        evaluator (with its eager scenario sampling) is only built on
+        evaluator (with its eager array sampling) is only built on
         the first journal miss.
         """
         kwargs.setdefault("execution", self.execution)

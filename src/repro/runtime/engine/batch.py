@@ -7,15 +7,14 @@ and one ``(scenarios, processes)`` array of per-process fault counts.
 Process columns follow ``app.processes`` order, so a compiled plan can
 address them by integer id.
 
-Batches can be packed from existing scenarios (the paired sets a
-:class:`~repro.evaluation.montecarlo.MonteCarloEvaluator` generates)
-or sampled directly via :meth:`ScenarioBatch.sample` /
-:meth:`ScenarioSampler.sample_batch`.  Direct sampling makes exactly
-the same RNG calls, in the same order, as the per-scenario
-:meth:`ScenarioSampler.sample` loop, so a batch sampled from seed ``s``
-is byte-identical to the packed form of ``sample_many`` under seed
-``s`` — the property tests in ``tests/test_engine_batch.py`` pin this
-down.
+Batches are sampled straight into arrays — the paired sets of a
+:class:`~repro.evaluation.montecarlo.MonteCarloEvaluator` by
+:meth:`ScenarioBatch.sample_paired`, one set by :meth:`ScenarioBatch.sample`
+— or packed from existing scenarios.  NumPy's ``Generator`` consumes
+its bit stream element by element in C order, and ``choice(P, size=f)``
+is ``integers(0, P, size=f)``, so each broadcast draw is byte-identical
+to the per-scenario :class:`~repro.faults.injection.ScenarioSampler`
+loop — the property tests in ``tests/test_engine_batch.py`` pin this.
 """
 
 from __future__ import annotations
@@ -28,6 +27,7 @@ import numpy as np
 from repro.errors import ModelError, RuntimeModelError
 from repro.faults.injection import ExecutionScenario
 from repro.faults.model import FaultScenario
+from repro.faults.scenarios import check_fault_count
 from repro.model.application import Application
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -56,9 +56,6 @@ class ScenarioBatch:
     names: Tuple[str, ...]
     durations: np.ndarray
     fault_counts: np.ndarray
-    _scenarios: Optional[List[ExecutionScenario]] = field(
-        default=None, repr=False
-    )
     _attempt_cumsum: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False
     )
@@ -152,8 +149,8 @@ class ScenarioBatch:
             rows.append(row)
         width = max(widths)
         if len(widths) == 1:
-            # Uniform attempt counts (the evaluator's sampled sets):
-            # one C-level conversion instead of per-cell assignments.
+            # Uniform attempt counts (sampled scenarios): one C-level
+            # conversion instead of per-cell assignments.
             durations = np.array(rows, dtype=np.int64)
         else:
             durations = np.empty(
@@ -171,7 +168,7 @@ class ScenarioBatch:
                 p = index.get(name)
                 if p is not None:
                     faults[s, p] = hits
-        return cls(names, durations, faults, _scenarios=scenario_list)
+        return cls(names, durations, faults)
 
     @classmethod
     def sample(
@@ -182,15 +179,11 @@ class ScenarioBatch:
     ) -> "ScenarioBatch":
         """Draw ``count`` scenarios with exactly ``faults`` faults each.
 
-        Replays :meth:`ScenarioSampler.sample_many` draw for draw —
-        per scenario: the fault pattern first, then one broadcast
-        ``integers`` call covering all processes and attempts (NumPy
-        consumes the bit stream element-by-element in C order, so the
-        broadcast call is byte-identical to the per-process loop of
-        :meth:`ScenarioSampler.sample_durations`).
+        Replays :meth:`ScenarioSampler.sample_many` draw for draw in one
+        broadcast ``integers`` call: per scenario, ``faults`` process
+        picks in ``[0, P)`` followed by the ``P x (faults + 1)``
+        attempt durations, each column with its own bounds.
         """
-        from repro.faults.scenarios import sample_scenario
-
         app = sampler.app
         if count < 1:
             raise RuntimeModelError("need at least one scenario")
@@ -198,46 +191,87 @@ class ScenarioBatch:
             raise ModelError(
                 f"{faults} faults exceed the application's budget k={app.k}"
             )
-        names = tuple(p.name for p in app.processes)
-        index = {name: p for p, name in enumerate(names)}
-        lo = np.array([p.bcet for p in app.processes], dtype=np.int64)
-        hi = np.array([p.wcet for p in app.processes], dtype=np.int64)
+        names, lo, hi = _columns(app)
+        check_fault_count(faults, len(names))
         width = faults + 1
-        durations = np.empty((count, len(names), width), dtype=np.int64)
-        fault_counts = np.zeros((count, len(names)), dtype=np.int64)
-        for s in range(count):
-            pattern = sample_scenario(list(names), faults, sampler.rng)
-            for name, hits in pattern.hits:
-                fault_counts[s, index[name]] = hits
-            durations[s] = sampler.rng.integers(
-                lo[:, None], hi[:, None] + 1, size=(len(names), width)
-            )
-        return cls(names, durations, fault_counts)
+        # Per-column [lo, hi) bounds: fault picks, then durations.
+        lo_row = np.concatenate(
+            [np.zeros(faults, dtype=np.int64), np.repeat(lo, width)]
+        )
+        hi_row = np.concatenate(
+            [np.full(faults, len(names)), np.repeat(hi + 1, width)]
+        )
+        draws = sampler.rng.integers(lo_row, hi_row, size=(count, lo_row.size))
+        durations = np.ascontiguousarray(
+            draws[:, faults:].reshape(count, len(names), width)
+        )
+        picks = draws[:, :faults]
+        return cls(names, durations, _fault_counts(picks, len(names)))
+
+    @classmethod
+    def sample_paired(
+        cls,
+        app: Application,
+        n_scenarios: int,
+        fault_counts: Sequence[int],
+        seed: Optional[int],
+    ) -> Dict[int, "ScenarioBatch"]:
+        """The paired scenario sets of §6, one read-only batch per fault
+        count: one draw of every duration (``max(fault_counts) + 1``
+        attempts), shared by all batches, then one draw of the fault
+        picks per fault count, in ``fault_counts`` order."""
+        if n_scenarios < 1:
+            raise RuntimeModelError("need at least one scenario")
+        if not fault_counts:
+            raise RuntimeModelError("need at least one fault count")
+        names, lo, hi = _columns(app)
+        for faults in fault_counts:
+            check_fault_count(faults, len(names))
+        rng = np.random.default_rng(seed)
+        durations = rng.integers(
+            lo[None, :, None],
+            hi[None, :, None] + 1,
+            size=(n_scenarios, len(names), max(fault_counts) + 1),
+        )
+        durations.flags.writeable = False
+        batches: Dict[int, ScenarioBatch] = {}
+        for faults in fault_counts:
+            picks = rng.integers(0, len(names), size=(n_scenarios, faults))
+            counts_array = _fault_counts(picks, len(names))
+            counts_array.flags.writeable = False
+            batches[faults] = cls(names, durations, counts_array)
+        return batches
 
     # ------------------------------------------------------------------
     # Unpacking
     # ------------------------------------------------------------------
     def scenario(self, i: int) -> ExecutionScenario:
-        """The ``i``-th scenario as an :class:`ExecutionScenario`.
-
-        Returns the original object when the batch was packed from
-        scenarios; otherwise reconstructs an equivalent one from the
-        arrays.
-        """
-        if self._scenarios is not None:
-            return self._scenarios[i]
-        durations: Dict[str, Tuple[int, ...]] = {
-            name: tuple(int(x) for x in self.durations[i, p])
-            for p, name in enumerate(self.names)
-        }
-        hits = {
-            name: int(self.fault_counts[i, p])
-            for p, name in enumerate(self.names)
-            if self.fault_counts[i, p] > 0
-        }
+        """The ``i``-th scenario, rebuilt from the arrays (duration lists
+        padded to :attr:`max_attempts`, as ``duration_of`` clamps)."""
+        durations = map(tuple, self.durations[i].tolist())
+        faults = self.fault_counts[i].tolist()
+        hits = {name: n for name, n in zip(self.names, faults) if n > 0}
         pattern = FaultScenario.of(hits) if hits else FaultScenario.none()
-        return ExecutionScenario(durations, pattern)
+        return ExecutionScenario(dict(zip(self.names, durations)), pattern)
 
     def scenarios(self) -> List[ExecutionScenario]:
         """All scenarios of the batch (see :meth:`scenario`)."""
         return [self.scenario(i) for i in range(self.n_scenarios)]
+
+
+def _columns(
+    app: Application,
+) -> Tuple[Tuple[str, ...], np.ndarray, np.ndarray]:
+    """Process names and their [BCET, WCET] bounds, in column order."""
+    names = tuple(p.name for p in app.processes)
+    lo = np.array([p.bcet for p in app.processes], dtype=np.int64)
+    hi = np.array([p.wcet for p in app.processes], dtype=np.int64)
+    return names, lo, hi
+
+
+def _fault_counts(picks: np.ndarray, n_processes: int) -> np.ndarray:
+    """Per-process fault counts from ``(n, f)`` process-index picks."""
+    counts = np.zeros((picks.shape[0], n_processes), dtype=np.int64)
+    rows = np.arange(picks.shape[0])[:, None]
+    np.add.at(counts, (rows, picks), 1)
+    return counts

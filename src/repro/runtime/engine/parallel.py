@@ -2,14 +2,14 @@
 
 :class:`ParallelEvaluator` splits the scenario index range of a
 Monte-Carlo evaluation into contiguous shards, one per job.  The
-scenario sets are packed once into :class:`ScenarioBatch` arrays and
-published to the workers through ``multiprocessing.shared_memory`` —
-workers attach to the segments in their initializer and never copy or
-re-derive the scenario data.  Shard boundaries select which slice a
-worker simulates; per-scenario results are independent of the slicing,
-so the merged :class:`~repro.evaluation.montecarlo.EvaluationOutcome`
-per fault count is identical to a single-process run, for any job
-count.
+evaluator's sampled :class:`ScenarioBatch` arrays are published to the
+workers through ``multiprocessing.shared_memory`` (the durations array
+every fault count shares, once) — workers attach to the segments in
+their initializer and never copy or re-derive the scenario data.
+Shard boundaries select which slice a worker simulates; per-scenario
+results are independent of the slicing, so the merged
+:class:`~repro.evaluation.montecarlo.EvaluationOutcome` per fault count
+is identical to a single-process run, for any job count.
 
 The pool is *persistent*: it is created lazily on the first
 ``evaluate()`` and reused across ``evaluate()``/``compare()`` calls
@@ -125,21 +125,25 @@ _WORKER: Optional[Dict] = None
 def _attach_batches(
     names: Tuple[str, ...], specs: Dict[int, _BatchSpec]
 ) -> Tuple[Dict[int, "ScenarioBatch"], List[shared_memory.SharedMemory]]:
-    """Attach the published scenario arrays (no copies)."""
+    """Attach the published scenario arrays (no copies); a segment
+    named by several specs (the shared durations) is attached once."""
     from repro.runtime.engine.batch import ScenarioBatch
 
-    batches: Dict[int, ScenarioBatch] = {}
-    segments: List[shared_memory.SharedMemory] = []
-    for faults, (durations_name, shape, fault_name) in specs.items():
-        durations_shm = shared_memory.SharedMemory(name=durations_name)
-        fault_shm = shared_memory.SharedMemory(name=fault_name)
-        segments += [durations_shm, fault_shm]
-        durations = np.ndarray(shape, dtype=np.int64, buffer=durations_shm.buf)
-        fault_counts = np.ndarray(
-            shape[:2], dtype=np.int64, buffer=fault_shm.buf
+    attached: Dict[str, shared_memory.SharedMemory] = {}
+
+    def view(name: str, shape) -> np.ndarray:
+        segment = attached.get(name)
+        if segment is None:
+            segment = attached[name] = shared_memory.SharedMemory(name=name)
+        return np.ndarray(shape, dtype=np.int64, buffer=segment.buf)
+
+    batches: Dict[int, ScenarioBatch] = {
+        faults: ScenarioBatch(
+            names, view(durations_name, shape), view(fault_name, shape[:2])
         )
-        batches[faults] = ScenarioBatch(names, durations, fault_counts)
-    return batches, segments
+        for faults, (durations_name, shape, fault_name) in specs.items()
+    }
+    return batches, list(attached.values())
 
 
 def _worker_init(app, names, specs, engine) -> None:
@@ -857,11 +861,6 @@ class ParallelEvaluator:
             )
         return self._own_source
 
-    def _batches(self) -> Dict[int, "ScenarioBatch"]:
-        """Packed scenario sets, from the source (cached there)."""
-        source = self._source()
-        return {f: source._batch_for(f) for f in self.fault_counts}
-
     def _spawn_pool(self, processes: int, names, specs):
         """Create the worker pool (separate for spawn-count tests)."""
         return TaskPool(
@@ -871,36 +870,36 @@ class ParallelEvaluator:
         )
 
     def _publish(self, batches) -> Tuple[Tuple[str, ...], Dict[int, _BatchSpec]]:
-        """Copy the batch arrays into shared-memory segments."""
+        """Copy the batch arrays into shared-memory segments; a
+        durations array several fault counts share is copied once."""
         specs: Dict[int, _BatchSpec] = {}
         names: Tuple[str, ...] = ()
+        published: Dict[int, str] = {}  # id(durations) -> segment name
         for faults, batch in batches.items():
             names = batch.names
-            durations = np.ascontiguousarray(batch.durations, dtype=np.int64)
-            fault_counts = np.ascontiguousarray(
-                batch.fault_counts, dtype=np.int64
+            key = id(batch.durations)
+            if key not in published:
+                published[key] = self._share(batch.durations)
+            specs[faults] = (
+                published[key],
+                batch.durations.shape,
+                self._share(batch.fault_counts),
             )
-            durations_shm = shared_memory.SharedMemory(
-                create=True, size=durations.nbytes
-            )
-            fault_shm = shared_memory.SharedMemory(
-                create=True, size=fault_counts.nbytes
-            )
-            np.ndarray(
-                durations.shape, dtype=np.int64, buffer=durations_shm.buf
-            )[:] = durations
-            np.ndarray(
-                fault_counts.shape, dtype=np.int64, buffer=fault_shm.buf
-            )[:] = fault_counts
-            self._segments += [durations_shm, fault_shm]
-            specs[faults] = (durations_shm.name, durations.shape, fault_shm.name)
         return names, specs
+
+    def _share(self, array: np.ndarray) -> str:
+        """Copy ``array`` into a new int64 segment; returns its name."""
+        array = np.ascontiguousarray(array, dtype=np.int64)
+        segment = shared_memory.SharedMemory(create=True, size=array.nbytes)
+        self._segments.append(segment)
+        np.ndarray(array.shape, dtype=np.int64, buffer=segment.buf)[:] = array
+        return segment.name
 
     def _ensure_pool(self, processes: int) -> None:
         if self._borrowed_pool is not None:
             if self._context is None:
                 try:
-                    names, specs = self._publish(self._batches())
+                    names, specs = self._publish(self._source().batches)
                 except BaseException:
                     _release(None, self._segments)
                     self._segments = []
@@ -921,7 +920,7 @@ class ParallelEvaluator:
         if self._pool is not None:
             return
         try:
-            names, specs = self._publish(self._batches())
+            names, specs = self._publish(self._source().batches)
             self._pool = self._spawn_pool(processes, names, specs)
         except BaseException:
             # Publish or spawn failed partway: unlink whatever was
@@ -984,8 +983,8 @@ class ParallelEvaluator:
 
         bounds = self._shard_bounds()
         if len(bounds) == 1:
-            # One shard: simulate in-process over the cached packed
-            # batches — no pool, no re-packing.
+            # One shard: simulate in-process over the sampled
+            # batches — no pool, no publication.
             return self._source().evaluate(
                 plan, execution=ExecutionConfig(engine=self.engine)
             )

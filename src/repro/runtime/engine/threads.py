@@ -303,16 +303,15 @@ class ThreadedEvaluator:
             return self._process_fallback(plan)
         source = self._source()
         if len(bounds) == 1:
-            # One shard: inline over the cached packed batches.
+            # One shard: inline over the sampled batches.
             return source.evaluate(
                 plan, execution=ExecutionConfig(engine=self.engine)
             )
-        batches = {f: source._batch_for(f) for f in self.fault_counts}
         stats.evaluations += 1
         stats.shards += len(bounds)
         pool = self._ensure_pool()
         futures = [
-            pool.submit(_run_shard, simulators[i], batches, lo, hi)
+            pool.submit(_run_shard, simulators[i], source.batches, lo, hi)
             for i, (lo, hi) in enumerate(bounds)
         ]
         shards = [future.result() for future in futures]

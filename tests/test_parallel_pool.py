@@ -47,6 +47,34 @@ def test_pool_spawned_once_across_evaluates(fig1_app, counted_spawns):
         assert compared["a"][faults].utilities == first[faults].utilities
 
 
+def test_shared_durations_published_once(monkeypatch):
+    """The fault counts share one durations array, so the pool gets
+    one durations segment plus one fault-count segment per count."""
+    published = []
+    original = ParallelEvaluator._spawn_pool
+
+    def capturing(self, processes, names, specs):
+        published.append(specs)
+        return original(self, processes, names, specs)
+
+    monkeypatch.setattr(ParallelEvaluator, "_spawn_pool", capturing)
+    ((app, plan),) = _schedulable_apps(1)
+    fault_counts = [0, 1, 2]
+    with MonteCarloEvaluator(
+        app, n_scenarios=20, fault_counts=fault_counts, seed=3,
+        execution="batched@processes:2",
+    ) as evaluator:
+        sharded = evaluator.evaluate(plan)
+        executor = evaluator.executor("batched@processes:2")
+        assert len(executor._segments) == 1 + len(fault_counts)
+        inline = evaluator.evaluate(plan, execution="batched")
+    (specs,) = published
+    assert len({durations for durations, _, _ in specs.values()}) == 1
+    assert len({faults for _, _, faults in specs.values()}) == 3
+    for faults in fault_counts:
+        assert sharded[faults].utilities == inline[faults].utilities
+
+
 def test_montecarlo_caches_executors(fig1_app):
     """Executors are cached per ExecutionConfig; the deprecated
     ``parallel()`` alias resolves to the same cached object."""
