@@ -1,10 +1,11 @@
 #!/usr/bin/env python
 """Bench-trajectory regression gate.
 
-The benchmark suites append one entry per run to the ``BENCH_*.json``
-trajectory artifacts at the repo root (``BENCH_engine.json`` from
-``benchmarks/test_bench_engine.py``, ``BENCH_synthesis.json`` from
-``benchmarks/test_bench_synthesis.py``).  This script parses those
+The benchmark suites append one entry per run to local copies of the
+committed ``BENCH_*.json`` trajectory artifacts at the repo root
+(``.benchmarks/BENCH_engine.json`` from
+``benchmarks/test_bench_engine.py``, ``.benchmarks/BENCH_synthesis.json``
+from ``benchmarks/test_bench_synthesis.py``).  This script parses those
 trajectories and fails (exit code 1) when an *asserted-floor* metric
 of the freshly appended entry regressed more than ``--threshold``
 (default 20%) against the prior trajectory baseline for the same axis
@@ -31,10 +32,11 @@ historical comparison row recorded on a box with fewer than
 ``MIN_JOBS_CPUS`` CPUs (each row carries the ``cpu_count`` it was
 measured on) is dropped from baselines outright.
 
-Usage (also wired into CI)::
+Usage (also wired into CI: the committed files before the suites
+run, the local copies after)::
 
     python benchmarks/check_trajectory.py BENCH_engine.json
-    python benchmarks/check_trajectory.py BENCH_*.json --threshold 0.25
+    python benchmarks/check_trajectory.py .benchmarks/BENCH_*.json --threshold 0.25
 
 Exit codes: 0 = no regression (or not enough history), 1 = regression
 detected, 2 = missing, unreadable or malformed trajectory file.

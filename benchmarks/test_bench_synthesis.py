@@ -10,8 +10,9 @@ the larger M gets).  A ``jobs=4`` axis exercises the parallel
 candidate layer (equality always asserted; the speed comparison only
 on boxes with >= 4 CPUs, like the engine bench).
 
-Every measured axis is appended to ``BENCH_synthesis.json`` at the
-repo root — a trajectory artifact mirroring ``BENCH_engine.json``.
+Every measured axis is appended to ``.benchmarks/BENCH_synthesis.json``
+— a trajectory artifact seeded from the committed
+``BENCH_synthesis.json`` at the repo root, mirroring the engine bench.
 
 A tier-1 smoke slice is marked ``bench_smoke``: a seconds-long cruise
 controller build with a loose 2x floor, so synthesis regressions fail
@@ -38,7 +39,9 @@ from tests.test_synthesis_differential import assert_trees_identical
 
 bench_smoke = pytest.mark.bench_smoke
 
-_ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_synthesis.json"
+_ROOT = Path(__file__).resolve().parent.parent
+_COMMITTED = _ROOT / "BENCH_synthesis.json"
+_ARTIFACT = _ROOT / ".benchmarks" / "BENCH_synthesis.json"
 
 
 @pytest.fixture(scope="module")
@@ -55,15 +58,17 @@ def table1_app():
 
 @pytest.fixture(scope="module")
 def trajectory():
-    """Collect per-axis rows; append one run entry to the artifact."""
+    """Collect per-axis rows; append one run entry to the local copy
+    of the trajectory (seeded from the committed file)."""
     rows = []
     yield rows
     if not rows:
         return
     history = []
-    if _ARTIFACT.exists():
+    source = _ARTIFACT if _ARTIFACT.exists() else _COMMITTED
+    if source.exists():
         try:
-            history = json.loads(_ARTIFACT.read_text())
+            history = json.loads(source.read_text())
         except (ValueError, OSError):
             history = []
     if not isinstance(history, list):
@@ -75,6 +80,7 @@ def trajectory():
             "axes": rows,
         }
     )
+    _ARTIFACT.parent.mkdir(exist_ok=True)
     _ARTIFACT.write_text(json.dumps(history, indent=2) + "\n")
 
 

@@ -53,9 +53,9 @@ from repro.evaluation.experiments import (
 def _positive_int(text: str) -> int:
     """argparse type for worker counts: an integer >= 1.
 
-    Rejects ``--jobs 0`` / ``--synthesis-jobs -2`` at parse time with
-    a one-line usage error instead of a deep traceback out of the
-    pool machinery.
+    Rejects ``--synthesis-jobs 0`` / ``-2`` at parse time with a
+    one-line usage error instead of a deep traceback out of the pool
+    machinery.
     """
     try:
         value = int(text)
@@ -86,38 +86,12 @@ def _executor_spec(text: str):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
-def _engine_name(text: str) -> str:
-    """argparse type for the deprecated ``--engine``: same one-line
-    enumeration as a bad ``--executor`` spec."""
-    from repro.execution import ENGINES, choices_line
-
-    if text not in ENGINES:
-        raise argparse.ArgumentTypeError(
-            f"unknown engine {text!r}; {choices_line()}"
-        )
-    return text
-
-
 def _resolve_execution(args: argparse.Namespace):
-    """The :class:`ExecutionConfig` the flags mean.
-
-    ``--executor`` wins; the deprecated ``--engine``/``--jobs`` map
-    onto it (``E``/``N`` → ``E@processes:N``) and cannot be combined
-    with it.
-    """
+    """The :class:`ExecutionConfig` of ``--executor`` (default:
+    batched, inline)."""
     from repro.execution import ExecutionConfig
 
-    executor = getattr(args, "executor", None)
-    engine = getattr(args, "engine", None)
-    jobs = getattr(args, "jobs", None)
-    if executor is not None:
-        if engine is not None or jobs is not None:
-            raise SystemExit(
-                "error: --executor supersedes --engine/--jobs; pass "
-                "one or the other"
-            )
-        return executor
-    return ExecutionConfig.from_legacy(engine=engine, jobs=jobs)
+    return getattr(args, "executor", None) or ExecutionConfig()
 
 
 def _open_store(args: argparse.Namespace):
@@ -209,7 +183,8 @@ def _open_checkpoint(args: argparse.Namespace, name: str, config=None):
 
     The workload fingerprint masks the routing knobs, so the routed
     config can be passed directly: a sweep checkpointed with
-    ``--jobs 4`` resumes fine under ``--jobs 1``.  Manifest mismatches
+    ``--executor batched@processes:4`` resumes fine under the default
+    inline executor.  Manifest mismatches
     (wrong experiment, different workload) die with the checkpoint
     module's one-line explanation instead of a traceback.
     """
@@ -609,24 +584,11 @@ def _add_engine_options(parser: argparse.ArgumentParser) -> None:
         "array engine), kernel (generated-C; needs a C compiler, "
         "degrades to batched with a counted reason); modes: inline "
         "(default), processes (shard across worker processes), "
-        "threads (shard across GIL-free threads; kernel engine only, "
-        "other engines fall back to processes with a counted reason). "
+        "threads (shard across GIL-free threads; kernel engine only — "
+        "any other engine is rejected here, use processes). "
         "Results are bit-identical for every spec, only speed "
         "differs; e.g. 'kernel@threads:8', 'batched@processes:4', "
         "'reference' (default: batched)",
-    )
-    parser.add_argument(
-        "--engine",
-        type=_engine_name,
-        default=None,
-        metavar="ENGINE",
-        help="deprecated alias for --executor ENGINE",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=_positive_int,
-        default=None,
-        help="deprecated alias for --executor ENGINE@processes:N",
     )
 
 

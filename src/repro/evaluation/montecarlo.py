@@ -9,11 +9,14 @@ drawn once per application, straight into
 :class:`~repro.runtime.engine.batch.ScenarioBatch` arrays by
 :meth:`ScenarioBatch.sample_paired`, and each plan runs them all.
 
-Two interchangeable engines execute the replay:
+Three interchangeable engines execute the replay, each a ``run_batch``
+simulator driven by the one shard body,
+:func:`~repro.runtime.engine.parallel.simulate_shard`:
 
 * ``engine="reference"`` — the pure-Python
   :class:`~repro.runtime.online.OnlineScheduler` event loop, one
-  scenario at a time (the behavioral oracle);
+  scenario at a time (the behavioral oracle, via
+  :class:`~repro.runtime.engine.simulator.ReferenceSimulator`);
 * ``engine="batched"`` — the array-based
   :class:`~repro.runtime.engine.simulator.BatchSimulator`, which
   replays the sampled arrays directly and is bit-identical
@@ -31,17 +34,16 @@ instance or a spec string like ``"kernel@threads:8"``):
 ``mode="processes"`` shards the scenario range across
 ``multiprocessing`` workers via
 :class:`~repro.runtime.engine.parallel.ParallelEvaluator`,
-``mode="threads"`` across a GIL-free thread pool via
-:class:`~repro.runtime.engine.threads.ThreadedEvaluator`.  Sharding is
-deterministic and outcome-preserving for any mode and worker count.
-The pre-:class:`ExecutionConfig` keywords ``engine=``/``jobs=`` remain
-as deprecated aliases.
+``mode="threads"`` (kernel engine only) across a GIL-free thread pool
+via :class:`~repro.runtime.engine.threads.ThreadedEvaluator`.
+Sharding is deterministic and outcome-preserving for any mode and
+worker count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
@@ -56,17 +58,16 @@ from repro.faults.injection import ExecutionScenario
 from repro.model.application import Application
 from repro.quasistatic.tree import QSTree
 from repro.runtime.engine.batch import ScenarioBatch
-from repro.runtime.engine.simulator import BatchSimulator
-from repro.runtime.online import OnlineScheduler
+from repro.runtime.engine.parallel import (
+    ParallelEvaluator,
+    merge_shard_outcomes,
+    simulate_shard,
+    simulator_for,
+)
 from repro.scheduling.fschedule import FSchedule
 
 Plan = Union[QSTree, FSchedule]
 
-#: Raw simulation of one scenario set: (per-scenario utilities,
-#: deadline misses, total switches, total faults, oracle fallbacks).
-#: ``fallbacks`` counts scenarios the batched engine routed through
-#: the reference loop (the whole set, for ``engine="reference"``).
-RawOutcome = Tuple[List[float], int, int, int, int]
 
 def _check_engine(engine: str) -> str:
     if engine not in ENGINES:
@@ -155,18 +156,13 @@ class MonteCarloEvaluator:
     seed:
         Seed of the scenario sampler, which fills :attr:`batches`
         (see :meth:`ScenarioBatch.sample_paired`) in the constructor;
-        :attr:`scenarios` unpacks them into objects on first use.
+        :attr:`scenarios` unpacks them into objects.
     execution:
         An :class:`~repro.execution.ExecutionConfig` or spec string
         (``"reference"``, ``"kernel@threads:8"``,
         ``"batched@processes:4"``) routing engine and parallelism;
         defaults to the inline reference engine.  Results are
         identical for every config, only speed differs.
-    engine, jobs:
-        Deprecated aliases (``engine=E, jobs=N`` ≡
-        ``execution=f"{E}@processes:{N}"``, inline for ``N == 1``);
-        they emit a :class:`DeprecationWarning` and cannot be combined
-        with ``execution=``.
     resources:
         An optional :class:`repro.pipeline.resources.ResourceManager`.
         When set, sharded evaluation borrows the manager's shared
@@ -185,23 +181,14 @@ class MonteCarloEvaluator:
         fault_counts: Optional[Sequence[int]] = None,
         seed: int = 1,
         execution: Union[None, str, ExecutionConfig] = None,
-        engine: Optional[str] = None,
-        jobs: Optional[int] = None,
         resources=None,
     ):
         self.app = app
         self.n_scenarios = int(n_scenarios)
         self.seed = seed
         self.execution = resolve_execution(
-            execution,
-            engine,
-            jobs,
-            base=self.DEFAULT_EXECUTION,
-            owner="MonteCarloEvaluator",
+            execution, base=self.DEFAULT_EXECUTION
         )
-        # Read-only legacy mirrors of the resolved routing.
-        self.engine = self.execution.engine
-        self.jobs = self.execution.workers
         self.resources = resources
         self.fault_counts = (
             list(fault_counts)
@@ -216,68 +203,19 @@ class MonteCarloEvaluator:
         self.batches: Dict[int, ScenarioBatch] = ScenarioBatch.sample_paired(
             app, self.n_scenarios, self.fault_counts, seed
         )
-        self._scenarios: Optional[Dict[int, List[ExecutionScenario]]] = None
         # Persistent sharded executors, one per ExecutionConfig: the
         # worker pool / thread pool and shared-memory scenario
         # segments survive across evaluate()/compare() calls (see
         # ParallelEvaluator and ThreadedEvaluator).
         self._executors: Dict[ExecutionConfig, object] = {}
 
-    # ------------------------------------------------------------------
-    # Simulation primitives (shared by in-process and sharded paths)
-    # ------------------------------------------------------------------
     @property
     def scenarios(self) -> Dict[int, List[ExecutionScenario]]:
-        """The scenario sets as objects, one list per fault count.
-
-        Materialised from :attr:`batches` on first access and cached;
-        only the reference engine and the online replanner need them.
-        """
-        if self._scenarios is None:
-            self._scenarios = {
-                faults: batch.scenarios()
-                for faults, batch in self.batches.items()
-            }
-        return self._scenarios
-
-    @staticmethod
-    def _reference_raw(
-        scheduler: OnlineScheduler, scenarios: Sequence[ExecutionScenario]
-    ) -> RawOutcome:
-        utilities: List[float] = []
-        misses = 0
-        switches = 0
-        observed = 0
-        for scenario in scenarios:
-            result = scheduler.run(scenario)
-            utilities.append(result.utility)
-            if not result.met_all_hard_deadlines:
-                misses += 1
-            switches += len(result.switches)
-            observed += result.faults_observed
-        return utilities, misses, switches, observed, len(utilities)
-
-    @staticmethod
-    def _batched_raw(
-        simulator: BatchSimulator, batch: ScenarioBatch
-    ) -> RawOutcome:
-        result = simulator.run_batch(batch)
-        return (
-            [float(u) for u in result.utilities],
-            int(result.deadline_miss.sum()),
-            int(result.switch_counts.sum()),
-            int(result.faults_observed.sum()),
-            result.n_fallback,
-        )
-
-    def _simulator_for(self, engine: str, plan: Plan) -> BatchSimulator:
-        """The array-engine simulator for ``engine`` (``run_batch`` duck
-        type; the kernel simulator degrades to batched on its own)."""
-        if engine == "kernel":
-            from repro.runtime.engine.kernel import KernelSimulator
-
-            return KernelSimulator(self.app, plan)
-        return BatchSimulator(self.app, plan)
+        """The scenario sets as objects, one list per fault count
+        (unpacked from :attr:`batches`, which cache them)."""
+        return {
+            faults: batch.scenarios() for faults, batch in self.batches.items()
+        }
 
     # ------------------------------------------------------------------
     # Public evaluation API
@@ -286,53 +224,36 @@ class MonteCarloEvaluator:
         self,
         plan: Plan,
         execution: Union[None, str, ExecutionConfig] = None,
-        engine: Optional[str] = None,
-        jobs: Optional[int] = None,
     ) -> Dict[int, EvaluationOutcome]:
         """Run all scenario sets against ``plan``.
 
         Returns one :class:`EvaluationOutcome` per fault count.
         ``execution`` overrides the evaluator-wide routing for this
         call (the benches use this to time several engines on the same
-        scenario sets); the deprecated ``engine``/``jobs`` keywords
-        override their respective halves of it.
+        scenario sets).
         """
-        config = resolve_execution(
-            execution,
-            engine,
-            jobs,
-            base=self.execution,
-            owner="MonteCarloEvaluator.evaluate",
-        )
+        config = resolve_execution(execution, base=self.execution)
         if config.workers > 1 and config.mode != "inline":
             if config.mode == "processes" and config.engine == "kernel":
                 # Warm the on-disk artifact cache parent-side so every
                 # worker loads the same prebuilt object instead of
                 # racing to compile it.  (The threaded executor builds
                 # its shard simulators in-process itself.)
-                self._simulator_for(config.engine, plan)
+                simulator_for(config.engine, self.app, plan)
             return self.executor(config).evaluate(plan)
-        engine = config.engine
-        outcomes: Dict[int, EvaluationOutcome] = {}
-        if engine in ("batched", "kernel"):
-            simulator = self._simulator_for(engine, plan)
-            for faults in self.fault_counts:
-                raw = self._batched_raw(simulator, self.batches[faults])
-                outcomes[faults] = EvaluationOutcome.aggregate(*raw)
-        else:
-            scheduler = OnlineScheduler(self.app, plan, record_events=False)
-            for faults in self.fault_counts:
-                raw = self._reference_raw(scheduler, self.scenarios[faults])
-                outcomes[faults] = EvaluationOutcome.aggregate(*raw)
-        return outcomes
+        simulator = simulator_for(config.engine, self.app, plan)
+        return merge_shard_outcomes(
+            self.fault_counts, [simulate_shard(simulator, self.batches)]
+        )
 
     def compare(
         self, plans: Mapping[str, Plan]
     ) -> Dict[str, Dict[int, EvaluationOutcome]]:
         """Evaluate several named plans on the same scenario sets.
 
-        With ``jobs > 1`` every plan reuses one persistent worker pool
-        and one set of shared-memory scenario segments.
+        With a sharded config every plan reuses one persistent worker
+        (or thread) pool and one set of shared-memory scenario
+        segments.
         """
         return {name: self.evaluate(plan) for name, plan in plans.items()}
 
@@ -358,42 +279,12 @@ class MonteCarloEvaluator:
 
                 executor = ThreadedEvaluator(self, config)
             else:
-                from repro.runtime.engine.parallel import ParallelEvaluator
-
                 pool = None
                 if self.resources is not None and config.workers > 1:
                     pool = self.resources.evaluation_pool(config.workers)
-                executor = ParallelEvaluator(
-                    self.app,
-                    n_scenarios=self.n_scenarios,
-                    fault_counts=self.fault_counts,
-                    seed=self.seed,
-                    execution=config,
-                    source=self,
-                    pool=pool,
-                )
+                executor = ParallelEvaluator(self, config, pool=pool)
             self._executors[config] = executor
         return executor
-
-    def parallel(self, engine: str, jobs: int) -> "ParallelEvaluator":
-        """Deprecated: the process-sharding executor for (engine, jobs).
-
-        Alias for ``executor(f"{engine}@processes:{jobs}")``.
-        """
-        import warnings
-
-        warnings.warn(
-            "MonteCarloEvaluator.parallel(engine, jobs) is deprecated; "
-            "use executor('ENGINE@processes:N') / "
-            "executor(ExecutionConfig(...)) instead",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.executor(
-            ExecutionConfig(
-                engine=engine, mode="processes", workers=int(jobs)
-            )
-        )
 
     def close(self) -> None:
         """Release any worker/thread pools and shared-memory segments."""

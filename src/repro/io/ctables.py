@@ -5,7 +5,7 @@ Two generators emit C in this repo: the embedded-target table export
 the per-plan simulator kernels
 (:mod:`repro.runtime.engine.kernel.codegen`, C99 translation units
 compiled at run time).  Both need the same low-level pieces — C
-identifier sanitizing, array initializers chunked to readable lines,
+identifier sanitizing, brace-enclosed array lists chunked to readable lines,
 and (for the kernel) double constants that survive the round trip
 exactly — so they live here.
 

@@ -10,15 +10,14 @@ the workers' code never changes, only the application context they
 hold.
 
 :class:`ResourceManager` closes that gap (the ROADMAP's pool-sharing
-open item): it owns **one** generic synthesis
-:class:`~repro.runtime.engine.parallel.TaskPool` and **one** generic
-evaluation pool for the whole experiment run.  Generic pools are
-spawned without an initializer; tasks carry their own context (the
+open item): it owns **one** synthesis
+:class:`~repro.runtime.engine.parallel.TaskPool` and **one**
+evaluation pool for the whole experiment run.  Pool workers carry no
+application state of their own: every map passes its context (the
 application, config, and — for evaluation — the names of the published
-shared-memory scenario segments), and workers re-initialize in place
-when the context token changes.  Results are unchanged: the contextual
-worker paths funnel into the exact same evaluation code as the
-initializer-based ones.
+shared-memory scenario segments), and a worker installs it only when
+the context token changes.  Results are unchanged: an own pool and a
+borrowed one run the exact same worker path.
 
 Pools are keyed by worker count, created lazily, and live until
 :meth:`ResourceManager.close` (or context-manager exit).  A manager
@@ -48,7 +47,9 @@ class ResourceManager:
             for app in applications:
                 tree = ftqs(app, root, config, jobs=4,
                             pool=resources.synthesis_pool(4))
-                with resources.evaluator(app, jobs=4) as evaluator:
+                with resources.evaluator(
+                    app, execution="batched@processes:4"
+                ) as evaluator:
                     evaluator.evaluate(tree)
 
     Exactly one synthesis pool and one evaluation pool (per worker
@@ -91,7 +92,7 @@ class ResourceManager:
             return pool
 
     def _spawn_pool(self, jobs: int):
-        """Spawn one generic pool (separate for spawn-count tests)."""
+        """Spawn one pool (separate for spawn-count tests)."""
         from repro.runtime.engine.parallel import TaskPool
 
         return TaskPool(

@@ -101,7 +101,6 @@ class ExperimentRunner:
         Monte-Carlo routing — an
         :class:`~repro.execution.ExecutionConfig` or spec string like
         ``"kernel@threads:8"`` (per driver config before; now shared).
-        ``engine=``/``jobs=`` remain as deprecated aliases.
     synthesis, synthesis_jobs, stats:
         FTQS engine routing, as accepted by :func:`ftqs`.
     resources:
@@ -134,8 +133,6 @@ class ExperimentRunner:
         self,
         *,
         execution=None,
-        engine: Optional[str] = None,
-        jobs: Optional[int] = None,
         synthesis: str = "fast",
         synthesis_jobs: int = 1,
         stats=None,
@@ -144,15 +141,8 @@ class ExperimentRunner:
         checkpoint=None,
     ):
         self.execution = resolve_execution(
-            execution,
-            engine,
-            jobs,
-            base=self.DEFAULT_EXECUTION,
-            owner="ExperimentRunner",
+            execution, base=self.DEFAULT_EXECUTION
         )
-        # Read-only legacy mirrors of the resolved routing.
-        self.engine = self.execution.engine
-        self.jobs = self.execution.workers
         self.synthesis = synthesis
         self.synthesis_jobs = synthesis_jobs
         self.stats = stats

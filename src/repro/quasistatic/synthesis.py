@@ -984,23 +984,18 @@ class _CandidateResult:
     improvement: float
 
 
-#: Worker-process engine installed by :func:`_synthesis_worker_init`.
-_SYNTH_WORKER: Optional["SynthesisEngine"] = None
+def _synthesis_worker_install(app, config: FTQSConfig) -> "SynthesisEngine":
+    """Pool-context install: the worker's own ``jobs=1`` engine."""
+    return SynthesisEngine(app, config, jobs=1)
 
 
-def _synthesis_worker_init(app, config: FTQSConfig) -> None:
-    global _SYNTH_WORKER
-    _SYNTH_WORKER = SynthesisEngine(app, config, jobs=1)
-
-
-def _synthesis_worker_eval(task):
+def _synthesis_worker_eval(engine: "SynthesisEngine", task):
     """Evaluate one (position, faults) candidate in a worker.
 
     Returns a picklable reduction of :class:`_CandidateResult` (the
     tail's entries; the parent rebuilds the schedule from its own
     context) or ``None`` for non-admissible candidates.
     """
-    engine = _SYNTH_WORKER
     (
         spec,
         position,
@@ -1031,32 +1026,6 @@ def _synthesis_worker_eval(task):
     )
 
 
-#: Worker engine for *contextual* tasks on a shared generic pool:
-#: ``(token, engine)`` of the most recently seen context.
-_SYNTH_CTX: Optional[Tuple[int, "SynthesisEngine"]] = None
-
-
-def _synthesis_worker_eval_ctx(task):
-    """Contextual twin of :func:`_synthesis_worker_eval`.
-
-    ``task`` is ``(token, app, config, inner)``.  Workers of a generic
-    pool (one pool per experiment run, spawned without an initializer
-    — see :class:`repro.pipeline.resources.ResourceManager`) build
-    their engine on first sight of a token and replace it when a new
-    token arrives, so one pool serves every application of a sweep.
-    The engine itself is the same ``jobs=1`` engine the initializer
-    path installs, hence identical candidate evaluations.
-    """
-    global _SYNTH_WORKER, _SYNTH_CTX
-    token, app, config, inner = task
-    if _SYNTH_CTX is None or _SYNTH_CTX[0] != token:
-        _SYNTH_CTX = (token, SynthesisEngine(app, config, jobs=1))
-    # _synthesis_worker_eval reads the module global; point it at the
-    # current context so both task forms share one evaluation path.
-    _SYNTH_WORKER = _SYNTH_CTX[1]
-    return _synthesis_worker_eval(inner)
-
-
 class SynthesisEngine:
     """The fast FTQS tree builder (see the module docstring).
 
@@ -1067,13 +1036,12 @@ class SynthesisEngine:
     :meth:`close`) when ``jobs > 1`` so the pool is released
     deterministically.
 
-    ``pool`` may be a *borrowed* generic
+    ``pool`` may be a *borrowed*
     :class:`~repro.runtime.engine.parallel.TaskPool` (owned by a
-    :class:`repro.pipeline.resources.ResourceManager`): candidate tasks
-    then carry their own (app, config) context instead of relying on a
-    pool initializer, so one pool spawned once serves every
-    application of an experiment sweep; :meth:`close` leaves it
-    running.
+    :class:`repro.pipeline.resources.ResourceManager`), so one pool
+    spawned once serves every application of an experiment sweep;
+    :meth:`close` leaves it running.  Own or borrowed, the pool's
+    workers receive the (app, config) context once per worker.
     """
 
     def __init__(
@@ -1094,7 +1062,7 @@ class SynthesisEngine:
         self._spec_cache: Dict[Tuple, FSchedule] = {}
         self._pool = None
         self._borrowed_pool = pool
-        self._ctx_token = None
+        self._context = None
         self._finalizer = None
         self._best_similarity: Dict[int, float] = {}
         self._expected_utility: Dict[int, float] = {}
@@ -1104,20 +1072,18 @@ class SynthesisEngine:
     # Pool lifecycle
     # ------------------------------------------------------------------
     def _ensure_pool(self):
-        if self._borrowed_pool is not None:
-            if self._ctx_token is None:
-                from repro.runtime.engine.parallel import next_context_token
+        from repro.runtime.engine.parallel import TaskPool, next_context_token
 
-                self._ctx_token = next_context_token()
+        if self._context is None:
+            self._context = (
+                next_context_token(),
+                _synthesis_worker_install,
+                (self.app, self.config),
+            )
+        if self._borrowed_pool is not None:
             return self._borrowed_pool
         if self._pool is None:
-            from repro.runtime.engine.parallel import TaskPool
-
-            self._pool = TaskPool(
-                self.jobs,
-                initializer=_synthesis_worker_init,
-                initargs=(self.app, self.config),
-            )
+            self._pool = TaskPool(self.jobs)
             self._finalizer = weakref.finalize(
                 self, TaskPool.close, self._pool
             )
@@ -1130,7 +1096,6 @@ class SynthesisEngine:
             self._finalizer()
             self._finalizer = None
         self._pool = None
-        self._ctx_token = None
 
     def __enter__(self) -> "SynthesisEngine":
         return self
@@ -1437,24 +1402,7 @@ class SynthesisEngine:
             ]
             self.stats.candidates_evaluated += len(tasks)
             pool = self._ensure_pool()
-            if self._borrowed_pool is not None:
-                # Every task carries (app, config): Pool has no way to
-                # target specific workers, so a one-shot "prime"
-                # broadcast cannot be made reliable, and the parent
-                # never knows which workers already hold the token.
-                # The cost is bounded, not per-task: Pool.map pickles
-                # tasks in chunks and pickle memoizes repeated object
-                # references within a chunk, so the app serializes
-                # once per chunk (~4 per worker per map call).
-                raw = pool.map(
-                    _synthesis_worker_eval_ctx,
-                    [
-                        (self._ctx_token, self.app, self.config, task)
-                        for task in tasks
-                    ],
-                )
-            else:
-                raw = pool.map(_synthesis_worker_eval, tasks)
+            raw = pool.map(_synthesis_worker_eval, tasks, context=self._context)
             prior_dropped = frozenset(schedule.prior_dropped)
             for item, outcome in zip(jobs_plan, raw):
                 if outcome is None:
@@ -1612,7 +1560,7 @@ def ftqs_fast(
 
     Byte-identical to :func:`repro.quasistatic.ftqs.ftqs` with
     ``synthesis="reference"`` for any ``jobs`` count.  ``pool`` may be
-    a shared generic :class:`~repro.runtime.engine.parallel.TaskPool`
+    a shared :class:`~repro.runtime.engine.parallel.TaskPool`
     (see :class:`repro.pipeline.resources.ResourceManager`); it is
     borrowed, not closed.
     """

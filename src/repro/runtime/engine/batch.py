@@ -59,6 +59,9 @@ class ScenarioBatch:
     _attempt_cumsum: Optional[np.ndarray] = field(
         default=None, repr=False, compare=False
     )
+    _scenarios: Optional[List[ExecutionScenario]] = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.durations.ndim != 3:
@@ -255,8 +258,13 @@ class ScenarioBatch:
         return ExecutionScenario(dict(zip(self.names, durations)), pattern)
 
     def scenarios(self) -> List[ExecutionScenario]:
-        """All scenarios of the batch (see :meth:`scenario`)."""
-        return [self.scenario(i) for i in range(self.n_scenarios)]
+        """All scenarios of the batch (see :meth:`scenario`; cached —
+        the reference engine replays one batch against many plans)."""
+        if self._scenarios is None:
+            self._scenarios = [
+                self.scenario(i) for i in range(self.n_scenarios)
+            ]
+        return self._scenarios
 
 
 def _columns(

@@ -228,14 +228,7 @@ class KernelSimulator:
         width = batch.max_attempts
         durations = np.ascontiguousarray(batch.durations, dtype=np.int64)
         faults = np.ascontiguousarray(batch.fault_counts, dtype=np.int64)
-        result = BatchResult(
-            utilities=np.zeros(n, dtype=np.float64),
-            deadline_miss=np.zeros(n, dtype=bool),
-            switch_counts=np.zeros(n, dtype=np.int64),
-            faults_observed=np.zeros(n, dtype=np.int64),
-            switch_chains=[()] * n,
-            fast_path=np.zeros(n, dtype=bool),
-        )
+        result = BatchResult.empty(n, fast=False)
         miss = np.zeros(n, dtype=np.uint8)
         chains = np.zeros((n, self._chain_cap), dtype=np.int64)
         flagged = np.zeros(n, dtype=np.uint8)

@@ -4,26 +4,31 @@
 Monte-Carlo evaluation into contiguous shards, one per job.  The
 evaluator's sampled :class:`ScenarioBatch` arrays are published to the
 workers through ``multiprocessing.shared_memory`` (the durations array
-every fault count shares, once) — workers attach to the segments in
-their initializer and never copy or re-derive the scenario data.
-Shard boundaries select which slice a worker simulates; per-scenario
-results are independent of the slicing, so the merged
-:class:`~repro.evaluation.montecarlo.EvaluationOutcome` per fault count
-is identical to a single-process run, for any job count.
+every fault count shares, once) as a worker *context*: each
+:meth:`TaskPool.map` carries ``(token, install, args)``, and a worker
+that does not hold the token yet attaches to the segments when the
+context arrives over its pipe, never copying or re-deriving the
+scenario data.  Shard boundaries select which slice a worker
+simulates; per-scenario results are independent of the slicing, so the
+merged :class:`~repro.evaluation.montecarlo.EvaluationOutcome` per
+fault count is identical to a single-process run, for any job count.
+
+Every path — inline, process shards, thread shards — runs the same
+shard body, :func:`simulate_shard`, against a simulator from
+:func:`simulator_for`: the reference oracle loop, the NumPy
+``BatchSimulator`` or the generated-C ``KernelSimulator`` (the parent
+warms the shared artifact cache before fanning out, so workers load
+the prebuilt object instead of racing to compile it).
 
 The pool is *persistent*: it is created lazily on the first
 ``evaluate()`` and reused across ``evaluate()``/``compare()`` calls
-for the evaluator's lifetime (also reachable via ``with``), so
-comparing many plans pays the fork/attach cost once.  Each worker
-compiles a plan once per ``evaluate()`` call — the segment-stepped
-``BatchSimulator`` core with its §2.2 decision tables and per-node
-segment indexes — and reuses it across that plan's fault counts
-(``tests/test_parallel_pool.py`` pins both the pool reuse and the
-per-plan compile count).  Workers default to the batched engine but
-honour ``engine="reference"`` for differential measurements and
-``engine="kernel"`` for the generated-C core (the parent warms the
-shared artifact cache before fanning out, so workers load the prebuilt
-object instead of racing to compile it).
+for the evaluator's lifetime, so comparing many plans pays the
+fork/attach cost once; a pool borrowed from a
+:class:`~repro.pipeline.resources.ResourceManager` serves every
+application of a run the same way.  Each worker compiles a plan once
+per ``evaluate()`` call and reuses it across that plan's fault counts
+(``tests/test_parallel_pool.py`` pins the pool reuse and the context
+installs).
 """
 
 from __future__ import annotations
@@ -45,12 +50,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.errors import RuntimeModelError
+from repro.execution import ExecutionConfig
+from repro.runtime.engine.batch import ScenarioBatch
 
-#: Parent-side unique tokens for worker-context switching (see
-#: :func:`_simulate_slice_ctx` and the synthesis counterpart).  A token
-#: names one published evaluation context; workers re-initialize
-#: themselves when they see a token they do not hold yet, which is what
-#: makes a generic pool reusable across applications.
+#: Parent-side unique tokens naming published worker contexts (see
+#: :meth:`TaskPool.map`).  A worker installs a context only when the
+#: token differs from the one it holds, which is what makes one pool
+#: reusable across evaluators and applications.
 _CONTEXT_TOKENS = itertools.count(1)
 
 
@@ -77,6 +83,11 @@ def shard_bounds(n_scenarios: int, workers: int) -> List[Tuple[int, int]]:
     return bounds
 
 
+#: One shard's raw result per fault count: (utilities, misses, total
+#: switches, total observed faults, oracle fallbacks).
+_ShardRaw = Dict[int, Tuple[List[float], int, int, int, int]]
+
+
 def merge_shard_outcomes(
     fault_counts: Sequence[int], shards: Sequence[_ShardRaw]
 ) -> Dict[int, "EvaluationOutcome"]:
@@ -84,8 +95,7 @@ def merge_shard_outcomes(
 
     Per-scenario results are independent of the slicing, so merging the
     shards of :func:`shard_bounds` reproduces a single in-process run
-    bit for bit, for any shard count.  Shared by the process and the
-    thread executors.
+    bit for bit, for any shard count (one shard: the inline run).
     """
     from repro.evaluation.montecarlo import EvaluationOutcome
 
@@ -111,24 +121,65 @@ def merge_shard_outcomes(
         )
     return outcomes
 
-#: One shard's raw result per fault count: (utilities, misses, total
-#: switches, total observed faults, oracle fallbacks).
-_ShardRaw = Dict[int, Tuple[List[float], int, int, int, int]]
+
+def simulator_for(engine: str, app, plan):
+    """The ``run_batch`` simulator of ``engine`` for ``plan`` (the
+    kernel simulator degrades to the batched engine on its own)."""
+    if engine == "kernel":
+        from repro.runtime.engine.kernel import KernelSimulator
+
+        return KernelSimulator(app, plan)
+    from repro.runtime.engine.simulator import (
+        BatchSimulator,
+        ReferenceSimulator,
+    )
+
+    if engine == "batched":
+        return BatchSimulator(app, plan)
+    return ReferenceSimulator(app, plan)
+
+
+def simulate_shard(
+    simulator,
+    batches: Dict[int, ScenarioBatch],
+    lo: int = 0,
+    hi: Optional[int] = None,
+) -> _ShardRaw:
+    """The one shard body: simulate scenarios ``[lo, hi)`` of every set.
+
+    ``hi=None`` runs the whole batches themselves (so their cached
+    attempt sums are reused); a range runs NumPy views of them — no
+    copies.  The kernel call inside ``run_batch`` releases the GIL, so
+    thread shards of this body overlap on multiple cores.
+    """
+    out: _ShardRaw = {}
+    for faults, batch in batches.items():
+        if hi is not None:
+            batch = ScenarioBatch(
+                batch.names,
+                batch.durations[lo:hi],
+                batch.fault_counts[lo:hi],
+            )
+        result = simulator.run_batch(batch)
+        out[faults] = (
+            [float(u) for u in result.utilities],
+            int(result.deadline_miss.sum()),
+            int(result.switch_counts.sum()),
+            int(result.faults_observed.sum()),
+            result.n_fallback,
+        )
+    return out
+
 
 #: (shm name of durations, durations shape, shm name of fault counts)
 _BatchSpec = Tuple[str, Tuple[int, int, int], str]
 
-#: Worker-process state installed by :func:`_worker_init`.
-_WORKER: Optional[Dict] = None
-
 
 def _attach_batches(
     names: Tuple[str, ...], specs: Dict[int, _BatchSpec]
-) -> Tuple[Dict[int, "ScenarioBatch"], List[shared_memory.SharedMemory]]:
+) -> Tuple[Dict[int, ScenarioBatch], List[shared_memory.SharedMemory]]:
     """Attach the published scenario arrays (no copies); a segment
     named by several specs (the shared durations) is attached once."""
-    from repro.runtime.engine.batch import ScenarioBatch
-
     attached: Dict[str, shared_memory.SharedMemory] = {}
 
     def view(name: str, shape) -> np.ndarray:
@@ -146,114 +197,34 @@ def _attach_batches(
     return batches, list(attached.values())
 
 
-def _worker_init(app, names, specs, engine) -> None:
-    """Pool initializer: attach shared batches, prime per-plan caches."""
-    global _WORKER
-    batches, segments = _attach_batches(tuple(names), specs)
-    _WORKER = {
-        "app": app,
-        "engine": engine,
-        "batches": batches,
-        "segments": segments,  # keep attached for the worker's lifetime
-        "plan_key": None,
-        "simulator": None,
-    }
+class _ShardContext:
+    """A worker's evaluation context — the install function of the
+    process executor's pool context.
+
+    Holds the attached scenario batches (the segments stay attached
+    until the next context replaces this one) and the simulator of
+    the plan seen last, reused for every fault count and shard of it.
+    """
+
+    def __init__(self, app, names, specs, engine) -> None:
+        self.app = app
+        self.engine = engine
+        self.batches, self.segments = _attach_batches(tuple(names), specs)
+        self.plan_key: Optional[int] = None
+        self.simulator = None
 
 
-def _simulate_slice(task) -> _ShardRaw:
-    """Worker entry point: simulate scenarios ``[lo, hi)`` of each set.
+def _simulate_slice(context: _ShardContext, task) -> _ShardRaw:
+    """Worker task: simulate scenarios ``[lo, hi)`` of each set.
 
-    ``plan_key`` identifies the plan across a fan-out: the compiled
-    ``BatchSimulator`` (decision tables included) is built on first
-    sight and reused for every fault count of the same plan.
+    ``plan_key`` identifies the plan across a fan-out: its simulator
+    (decision tables included) is built on first sight and reused.
     """
     plan_key, plan, lo, hi = task
-    state = _WORKER
-    app = state["app"]
-    out: _ShardRaw = {}
-    if state["engine"] in ("batched", "kernel"):
-        from repro.runtime.engine.batch import ScenarioBatch
-        from repro.runtime.engine.simulator import BatchSimulator
-
-        if state["plan_key"] != plan_key:
-            if state["engine"] == "kernel":
-                # The parent warmed the on-disk artifact cache before
-                # fanning out, so this is normally a load, not a build.
-                from repro.runtime.engine.kernel import KernelSimulator
-
-                state["simulator"] = KernelSimulator(app, plan)
-            else:
-                state["simulator"] = BatchSimulator(app, plan)
-            state["plan_key"] = plan_key
-        simulator = state["simulator"]
-        for faults, batch in state["batches"].items():
-            piece = ScenarioBatch(
-                batch.names,
-                batch.durations[lo:hi],
-                batch.fault_counts[lo:hi],
-            )
-            result = simulator.run_batch(piece)
-            out[faults] = (
-                [float(u) for u in result.utilities],
-                int(result.deadline_miss.sum()),
-                int(result.switch_counts.sum()),
-                int(result.faults_observed.sum()),
-                result.n_fallback,
-            )
-    else:
-        from repro.evaluation.montecarlo import MonteCarloEvaluator
-        from repro.runtime.online import OnlineScheduler
-
-        scheduler = OnlineScheduler(app, plan, record_events=False)
-        for faults, batch in state["batches"].items():
-            out[faults] = MonteCarloEvaluator._reference_raw(
-                scheduler, [batch.scenario(i) for i in range(lo, hi)]
-            )
-    return out
-
-
-#: Worker-process state for *contextual* tasks (shared generic pools).
-#: Holds only the most recent context: experiment sweeps move from one
-#: application to the next, never back.
-_CTX_WORKER: Optional[Dict] = None
-
-
-def _simulate_slice_ctx(task):
-    """Worker entry point for tasks carrying their own context.
-
-    ``task`` is ``(context, inner)`` where ``context`` is
-    ``(token, app, names, specs, engine)`` and ``inner`` is the
-    ``(plan_key, plan, lo, hi)`` tuple of :func:`_simulate_slice`.  A
-    worker of a *generic* pool (spawned once per experiment run, no
-    initializer) installs the context on first sight of its token —
-    attaching the published shared-memory batches, no copies — and
-    reuses it for every later task with the same token.  A new token
-    replaces the previous context, closing its segment attachments, so
-    one pool serves any number of applications in sequence.
-    """
-    global _WORKER, _CTX_WORKER
-    context, inner = task
-    token, app, names, specs, engine = context
-    state = _CTX_WORKER
-    if state is None or state["token"] != token:
-        if state is not None:
-            for segment in state["segments"]:
-                segment.close()
-        batches, segments = _attach_batches(tuple(names), specs)
-        state = {
-            "token": token,
-            "app": app,
-            "engine": engine,
-            "batches": batches,
-            "segments": segments,
-            "plan_key": None,
-            "simulator": None,
-        }
-        _CTX_WORKER = state
-    # _simulate_slice reads the module global; point it at the current
-    # context so both task forms share one execution path.
-    _WORKER = state
-    return _simulate_slice(inner)
+    if context.plan_key != plan_key:
+        context.simulator = simulator_for(context.engine, context.app, plan)
+        context.plan_key = plan_key
+    return simulate_shard(context.simulator, context.batches, lo, hi)
 
 
 def _release(pool, segments) -> None:
@@ -380,16 +351,20 @@ def _portable_exception(exc: BaseException) -> BaseException:
         return RuntimeModelError(f"worker task failed: {exc!r}")
 
 
-def _pool_worker_main(task_r, result_w, initializer, initargs) -> None:
-    """Worker process body: init once, then a recv→run→send loop.
+def _pool_worker_main(task_r, result_w) -> None:
+    """Worker process body: a recv→run→send loop.
 
-    Messages are ``(gen, seq, fn, task, chaos_action)``; replies are
-    ``(gen, seq, ok, result_or_exception)``.  ``gen`` identifies the
-    :meth:`TaskPool.map` call, so the parent can discard results of an
-    aborted map instead of mistaking them for the current one's.
+    Messages are ``(gen, seq, fn, task, chaos_action, context)``;
+    replies are ``(gen, seq, ok, result_or_exception)``.  ``gen``
+    identifies the :meth:`TaskPool.map` call, so the parent can discard
+    results of an aborted map instead of mistaking them for the
+    current one's.  ``context`` is ``None`` for a plain map (``fn(task)``)
+    and ``(install, args)`` for a contextual one (``fn(state, task)``):
+    ``install`` is set only when the parent's record says this worker
+    does not hold the map's token, and then replaces ``state`` with
+    ``install(*args)``.
     """
-    if initializer is not None:
-        initializer(*initargs)
+    state = None
     while True:
         try:
             item = task_r.recv()
@@ -397,11 +372,19 @@ def _pool_worker_main(task_r, result_w, initializer, initargs) -> None:
             return
         if item is None:
             return
-        gen, seq, fn, task, action = item
+        gen, seq, fn, task, action, context = item
         if action is not None:
             _apply_chaos_action(action)
         try:
-            payload = (gen, seq, True, fn(task))
+            if context is None:
+                result = fn(task)
+            else:
+                install, args = context
+                if install is not None:
+                    state = None  # drop the old context first
+                    state = install(*args)
+                result = fn(state, task)
+            payload = (gen, seq, True, result)
         except BaseException as exc:
             payload = (gen, seq, False, _portable_exception(exc))
         try:
@@ -431,7 +414,7 @@ class _Worker:
     worker.
     """
 
-    __slots__ = ("process", "task_w", "result_r", "current")
+    __slots__ = ("process", "task_w", "result_r", "current", "token")
 
     def __init__(self, process, task_w, result_r):
         self.process = process
@@ -439,6 +422,8 @@ class _Worker:
         self.result_r = result_r
         #: (gen, seq, dispatched_at) of the in-flight task, or None.
         self.current: Optional[Tuple[int, int, float]] = None
+        #: Token of the context this worker holds (None: none yet).
+        self.token: Optional[int] = None
 
 
 #: Parent poll interval while waiting on results/sentinels.
@@ -448,25 +433,22 @@ _POLL_SECONDS = 0.05
 class TaskPool:
     """Small task-sharding facade over a persistent worker pool.
 
-    Generalizes the scenario-sharding pool of :class:`ParallelEvaluator`
-    to arbitrary picklable tasks: workers are spawned once (running
-    ``initializer(*initargs)`` to install whatever per-process context
-    the task function needs) and reused for every :meth:`map` call.
-    ``map`` preserves task order, so a caller that merges results
-    positionally is deterministic for any worker count.  Users:
+    Runs arbitrary picklable tasks on workers spawned once and reused
+    for every :meth:`map` call.  ``map`` preserves task order, so a
+    caller that merges results positionally is deterministic for any
+    worker count.  Workers carry no application state of their own: a
+    map that needs some passes ``context=(token, install, args)``, and
+    each worker runs ``install(*args)`` — once, when the token differs
+    from the one the parent recorded for it — and then its tasks as
+    ``fn(state, task)``.  One pool therefore serves any number of
+    contexts in sequence; a
+    :class:`repro.pipeline.resources.ResourceManager` shares one
+    across every application of an experiment run.  Users:
 
     * :class:`ParallelEvaluator` — scenario-slice tasks over shared
       scenario batches;
     * :class:`repro.quasistatic.synthesis.SynthesisEngine` — FTQS
       candidate-evaluation tasks of one expansion layer.
-
-    A pool spawned with *no* initializer is a **generic** pool: its
-    workers carry no application state and are (re-)initialized by the
-    tasks themselves (contextual tasks, see
-    :func:`_simulate_slice_ctx`).  That is how
-    :class:`repro.pipeline.resources.ResourceManager` shares one pool
-    across every application of an experiment run instead of paying a
-    spawn per application.
 
     **Fault tolerance.**  The pool runs its own workers over private
     pipes and supervises them through their process sentinels, so a
@@ -488,8 +470,6 @@ class TaskPool:
     def __init__(
         self,
         processes: int,
-        initializer=None,
-        initargs=(),
         task_timeout: Optional[float] = None,
         task_retries: int = 2,
     ):
@@ -506,7 +486,7 @@ class TaskPool:
                 f"task_retries must be >= 0, got {task_retries}"
             )
         # Start the shared-memory resource tracker *before* forking
-        # workers.  A generic pool is often spawned before the first
+        # workers.  A pool is often spawned before the first
         # SharedMemory segment exists; workers forked without a running
         # tracker would each lazily start their own on attach, and those
         # private trackers double-unlink the parent's segments at
@@ -519,9 +499,9 @@ class TaskPool:
         self.task_retries = task_retries
         self.recovery = PoolRecovery()
         self._ctx = multiprocessing.get_context()
-        self._initializer = initializer
-        self._initargs = tuple(initargs)
-        self._inline_ready = initializer is None
+        #: The context installed in this process by degraded runs.
+        self._inline_token: Optional[int] = None
+        self._inline_state = None
         self._closed = False
         self._degraded = False
         self._respawn_budget = max(4, 2 * processes)
@@ -538,7 +518,7 @@ class TaskPool:
         result_r, result_w = self._ctx.Pipe(duplex=False)
         process = self._ctx.Process(
             target=_pool_worker_main,
-            args=(task_r, result_w, self._initializer, self._initargs),
+            args=(task_r, result_w),
             daemon=True,
         )
         process.start()
@@ -575,12 +555,16 @@ class TaskPool:
             getattr(_GLOBAL_RECOVERY, counter) + amount,
         )
 
-    def _run_inline(self, fn, task):
+    def _run_inline(self, fn, task, context):
         """In-process degraded execution (bit-identical by purity)."""
-        if not self._inline_ready:
-            self._initializer(*self._initargs)
-            self._inline_ready = True
-        return fn(task)
+        if context is None:
+            return fn(task)
+        token, install, args = context
+        if self._inline_token != token:
+            self._inline_state = None
+            self._inline_state = install(*args)
+            self._inline_token = token
+        return fn(self._inline_state, task)
 
     def _degrade(self, pending: deque) -> None:
         """Give up on worker processes for the rest of this pool's life."""
@@ -602,12 +586,15 @@ class TaskPool:
     # ------------------------------------------------------------------
     # map
     # ------------------------------------------------------------------
-    def map(self, fn, tasks):
+    def map(self, fn, tasks, context=None):
         """Run ``fn`` over ``tasks``; results in task order.
 
-        Worker crashes, injected chaos kills and task timeouts are
-        recovered internally (see the class docstring); the only
-        exceptions that propagate are the task function's own.
+        With ``context=(token, install, args)`` every task runs as
+        ``fn(state, task)``, where ``state = install(*args)`` was run in
+        the executing process when the context first reached it (see
+        the class docstring).  Worker crashes, injected chaos kills and
+        task timeouts are recovered internally; the only exceptions
+        that propagate are the task function's (or ``install``'s) own.
         """
         if self._closed:
             raise RuntimeModelError("cannot map on a closed TaskPool")
@@ -635,18 +622,23 @@ class TaskPool:
                 seq = inline.popleft()
                 if done[seq]:
                     continue
-                results[seq] = self._run_inline(fn, tasks[seq])
+                results[seq] = self._run_inline(fn, tasks[seq], context)
                 done[seq] = True
                 remaining -= 1
             if not remaining:
                 break
-            self._dispatch(fn, tasks, gen, pending, done, attempts, plan)
+            self._dispatch(
+                fn, tasks, gen, pending, done, attempts, plan, context
+            )
             remaining -= self._collect(gen, results, done)
             self._reap(gen, pending, inline, done, attempts)
         return results
 
-    def _dispatch(self, fn, tasks, gen, pending, done, attempts, plan):
-        """Hand pending tasks to idle live workers."""
+    def _dispatch(
+        self, fn, tasks, gen, pending, done, attempts, plan, context
+    ):
+        """Hand pending tasks to idle live workers, each with the map's
+        context if the worker does not hold its token yet."""
         for worker in self._workers:
             if not pending:
                 return
@@ -662,13 +654,21 @@ class TaskPool:
                 if plan is not None
                 else None
             )
+            sent = None
+            if context is not None:
+                token, install, args = context
+                sent = (
+                    (None, None) if worker.token == token else (install, args)
+                )
             try:
-                worker.task_w.send((gen, seq, fn, tasks[seq], action))
+                worker.task_w.send((gen, seq, fn, tasks[seq], action, sent))
             except (BrokenPipeError, OSError):
                 # Died since the last reap; the next reap respawns it.
                 pending.appendleft(seq)
                 continue
             worker.current = (gen, seq, time.monotonic())
+            if context is not None:
+                worker.token = token
 
     def _collect(self, gen, results, done) -> int:
         """Wait briefly for results; returns how many tasks finished.
@@ -696,6 +696,10 @@ class TaskPool:
                 continue  # torn mid-send: reaped as a crash
             # One in-flight task per worker, FIFO: any reply frees it.
             worker.current = None
+            if not ok:
+                # The failure may have been the install: re-send the
+                # context with this worker's next contextual task.
+                worker.token = None
             if rgen != gen or done[seq]:
                 continue  # stale reply from an aborted or retried map
             if not ok:
@@ -760,6 +764,7 @@ class TaskPool:
         for worker in self._workers:
             self._stop_worker(worker)
         self._workers = []
+        self._inline_state = self._inline_token = None
         self._closed = True
 
     def close(self) -> None:
@@ -774,100 +779,103 @@ class TaskPool:
         self.close()
 
 
-class ParallelEvaluator:
-    """Deterministic sharded version of the Monte-Carlo evaluation.
+class ShardedExecutor:
+    """The core the process and thread executors share.
 
-    Parameters mirror :class:`MonteCarloEvaluator`, plus ``jobs`` (the
-    worker count), ``engine`` (which simulator each worker runs) and
-    ``source`` (an optional :class:`MonteCarloEvaluator` whose packed
-    scenario batches are shared instead of re-derived).  ``evaluate``
-    returns the same ``{fault count: EvaluationOutcome}`` mapping a
-    single-process evaluator produces.
-
-    ``pool`` may be a *borrowed* generic :class:`TaskPool` (owned by a
-    :class:`repro.pipeline.resources.ResourceManager`): the evaluator
-    then publishes its scenario segments as a worker context and ships
-    context-carrying tasks instead of spawning its own pool;
-    :meth:`close` releases the segments but leaves the pool running for
-    the next application.
+    Built by :meth:`MonteCarloEvaluator.executor
+    <repro.evaluation.montecarlo.MonteCarloEvaluator.executor>` from the
+    evaluator whose sampled batches it shards.  The evaluator owns the
+    executor, so it is held weakly: a strong back-reference would form
+    a cycle that delays pool/segment release until a cyclic GC pass
+    instead of freeing promptly by refcount.  ``evaluate`` returns the
+    same ``{fault count: EvaluationOutcome}`` mapping an inline run
+    produces; subclasses supply :meth:`_evaluate_sharded`.
     """
 
-    def __init__(
-        self,
-        app,
-        n_scenarios: int = 200,
-        fault_counts: Optional[Sequence[int]] = None,
-        seed: int = 1,
-        engine: str = "batched",
-        jobs: int = 2,
-        source=None,
-        pool: Optional[TaskPool] = None,
-        execution=None,
-    ):
-        from repro.execution import ExecutionConfig
+    def __init__(self, source, execution) -> None:
+        self.execution = ExecutionConfig.coerce(execution)
+        self.engine = self.execution.engine
+        self.workers = self.execution.workers
+        self.app = source.app
+        self.n_scenarios = source.n_scenarios
+        self.fault_counts = list(source.fault_counts)
+        self._source_ref = weakref.ref(source)
+        self._plan_counter = 0
+        self._plan_keys: Dict[int, Tuple[object, int]] = {}
 
-        if execution is not None:
-            execution = ExecutionConfig.coerce(execution)
-            engine = execution.engine
-            jobs = execution.workers
-        if jobs < 1:
-            raise RuntimeModelError(f"jobs must be positive, got {jobs}")
-        self.app = app
-        self.n_scenarios = n_scenarios
-        self.fault_counts = (
-            list(fault_counts)
-            if fault_counts is not None
-            else list(range(app.k + 1))
-        )
-        self.seed = seed
-        self.engine = engine
-        self.jobs = jobs
-        self.execution = execution or ExecutionConfig(
-            engine=engine,
-            mode="inline" if jobs == 1 else "processes",
-            workers=jobs,
-        )
-        # A provided source (the owning MonteCarloEvaluator) is held
-        # weakly: it owns *us*, and a strong back-reference would form
-        # a cycle that delays pool/segment release until a cyclic GC
-        # pass instead of freeing promptly by refcount.
-        self._source_ref = weakref.ref(source) if source is not None else None
-        self._own_source = None
-        self._pool = None
+    def _source(self) -> "MonteCarloEvaluator":
+        source = self._source_ref()
+        if source is None:
+            raise RuntimeModelError(
+                "executor used after its MonteCarloEvaluator was "
+                "garbage-collected"
+            )
+        return source
+
+    def _plan_key(self, plan) -> int:
+        """A stable identity for ``plan``, so re-evaluating the same
+        plan object reuses the compiled simulators.
+
+        The plan is held strongly alongside its key: ``id()`` alone
+        could be recycled after a plan is garbage-collected.
+        """
+        entry = self._plan_keys.get(id(plan))
+        if entry is None or entry[0] is not plan:
+            self._plan_counter += 1
+            entry = (plan, self._plan_counter)
+            self._plan_keys[id(plan)] = entry
+        return entry[1]
+
+    def evaluate(self, plan) -> Dict[int, "EvaluationOutcome"]:
+        """Run all scenario sets against ``plan`` across the shards."""
+        bounds = shard_bounds(self.n_scenarios, self.workers)
+        if len(bounds) == 1:
+            # One shard: simulate in-process over the sampled batches.
+            return self._source().evaluate(plan, execution=self.engine)
+        return self._evaluate_sharded(plan, bounds)
+
+    def _evaluate_sharded(self, plan, bounds) -> Dict[int, "EvaluationOutcome"]:
+        raise NotImplementedError
+
+    def compare(self, plans) -> Dict[str, Dict[int, "EvaluationOutcome"]]:
+        """Evaluate several named plans over one persistent pool."""
+        return {name: self.evaluate(plan) for name, plan in plans.items()}
+
+    def close(self) -> None:
+        self._plan_keys.clear()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class ParallelEvaluator(ShardedExecutor):
+    """Deterministic process-sharded Monte-Carlo evaluation
+    (``mode="processes"``; see the module docstring).
+
+    ``pool`` may be a *borrowed* :class:`TaskPool` (owned by a
+    :class:`repro.pipeline.resources.ResourceManager`); otherwise the
+    evaluator spawns its own on first use.  Either way its scenario
+    segments travel as the maps' context; :meth:`close` unlinks them
+    and terminates the pool only if it is the evaluator's own.
+    """
+
+    def __init__(self, source, execution, pool: Optional[TaskPool] = None):
+        super().__init__(source, execution)
+        self._pool: Optional[TaskPool] = None
         self._borrowed_pool = pool
         self._context = None
         self._segments: List[shared_memory.SharedMemory] = []
-        self._plan_counter = 0
-        self._plan_keys: Dict[int, Tuple[object, int]] = {}
         self._finalizer = None
 
     # ------------------------------------------------------------------
     # Pool / shared-memory lifecycle
     # ------------------------------------------------------------------
-    def _source(self) -> "MonteCarloEvaluator":
-        """The evaluator supplying scenario sets (derived if absent)."""
-        if self._source_ref is not None:
-            source = self._source_ref()
-            if source is not None:
-                return source
-        if self._own_source is None:
-            from repro.evaluation.montecarlo import MonteCarloEvaluator
-
-            self._own_source = MonteCarloEvaluator(
-                self.app,
-                n_scenarios=self.n_scenarios,
-                fault_counts=self.fault_counts,
-                seed=self.seed,
-            )
-        return self._own_source
-
-    def _spawn_pool(self, processes: int, names, specs):
+    def _spawn_pool(self, processes: int) -> TaskPool:
         """Create the worker pool (separate for spawn-count tests)."""
-        return TaskPool(
-            processes,
-            initializer=_worker_init,
-            initargs=(self.app, names, specs, self.engine),
-        )
+        return TaskPool(processes)
 
     def _publish(self, batches) -> Tuple[Tuple[str, ...], Dict[int, _BatchSpec]]:
         """Copy the batch arrays into shared-memory segments; a
@@ -895,33 +903,14 @@ class ParallelEvaluator:
         np.ndarray(array.shape, dtype=np.int64, buffer=segment.buf)[:] = array
         return segment.name
 
-    def _ensure_pool(self, processes: int) -> None:
-        if self._borrowed_pool is not None:
-            if self._context is None:
-                try:
-                    names, specs = self._publish(self._source().batches)
-                except BaseException:
-                    _release(None, self._segments)
-                    self._segments = []
-                    raise
-                self._context = (
-                    next_context_token(),
-                    self.app,
-                    names,
-                    specs,
-                    self.engine,
-                )
-                # The borrowed pool outlives us; only the segments need
-                # a safety net.
-                self._finalizer = weakref.finalize(
-                    self, _release, None, list(self._segments)
-                )
-            return
-        if self._pool is not None:
+    def _ensure_context(self, processes: int) -> None:
+        """Publish the batches (and spawn the own pool) on first use."""
+        if self._context is not None:
             return
         try:
             names, specs = self._publish(self._source().batches)
-            self._pool = self._spawn_pool(processes, names, specs)
+            if self._borrowed_pool is None:
+                self._pool = self._spawn_pool(processes)
         except BaseException:
             # Publish or spawn failed partway: unlink whatever was
             # created now, or it survives in /dev/shm until exit.
@@ -929,6 +918,12 @@ class ParallelEvaluator:
             self._pool = None
             self._segments = []
             raise
+        self._context = (
+            next_context_token(),
+            _ShardContext,
+            (self.app, names, specs, self.engine),
+        )
+        # A borrowed pool outlives us: only what we own is released.
         self._finalizer = weakref.finalize(
             self, _release, self._pool, list(self._segments)
         )
@@ -936,70 +931,28 @@ class ParallelEvaluator:
     def close(self) -> None:
         """Release the segments; terminate the pool if it is ours.
 
-        With a borrowed pool only the published scenario segments are
-        unlinked (workers drop their attachments when the next context
-        arrives); the pool itself belongs to the resource manager.
+        Workers of a borrowed pool drop their attachments when the next
+        context arrives; the pool itself belongs to the resource
+        manager.
         """
         if self._finalizer is not None:
             self._finalizer()
             self._finalizer = None
-        elif self._segments:  # published but never pooled
-            _release(self._pool, self._segments)
         self._pool = None
         self._context = None
         self._segments = []
-        self._plan_keys.clear()
-
-    def __enter__(self) -> "ParallelEvaluator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
+        super().close()
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _plan_key(self, plan) -> int:
-        """A stable identity for ``plan``, so re-evaluating the same
-        plan object reuses the workers' compiled simulators.
-
-        The plan is held strongly alongside its key: ``id()`` alone
-        could be recycled after a plan is garbage-collected.
-        """
-        entry = self._plan_keys.get(id(plan))
-        if entry is None or entry[0] is not plan:
-            self._plan_counter += 1
-            entry = (plan, self._plan_counter)
-            self._plan_keys[id(plan)] = entry
-        return entry[1]
-
-    def _shard_bounds(self) -> List[Tuple[int, int]]:
-        """Contiguous, near-equal scenario ranges, one per shard."""
-        return shard_bounds(self.n_scenarios, self.jobs)
-
-    def evaluate(self, plan) -> Dict[int, "EvaluationOutcome"]:
-        """Run all scenario sets against ``plan`` across the workers."""
-        from repro.execution import ExecutionConfig
-
-        bounds = self._shard_bounds()
-        if len(bounds) == 1:
-            # One shard: simulate in-process over the sampled
-            # batches — no pool, no publication.
-            return self._source().evaluate(
-                plan, execution=ExecutionConfig(engine=self.engine)
-            )
+    def _evaluate_sharded(self, plan, bounds) -> Dict[int, "EvaluationOutcome"]:
         plan_key = self._plan_key(plan)
-        tasks = [(plan_key, plan, lo, hi) for lo, hi in bounds]
-        self._ensure_pool(len(tasks))
-        if self._borrowed_pool is not None:
-            shards = self._borrowed_pool.map(
-                _simulate_slice_ctx,
-                [(self._context, task) for task in tasks],
-            )
-        else:
-            shards = self._pool.map(_simulate_slice, tasks)
+        self._ensure_context(len(bounds))
+        pool = self._borrowed_pool or self._pool
+        shards = pool.map(
+            _simulate_slice,
+            [(plan_key, plan, lo, hi) for lo, hi in bounds],
+            context=self._context,
+        )
         return merge_shard_outcomes(self.fault_counts, shards)
-
-    def compare(self, plans) -> Dict[str, Dict[int, "EvaluationOutcome"]]:
-        """Evaluate several named plans over one persistent pool."""
-        return {name: self.evaluate(plan) for name, plan in plans.items()}

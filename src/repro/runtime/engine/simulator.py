@@ -89,6 +89,26 @@ class BatchResult:
     def n_fallback(self) -> int:
         return self.n_scenarios - self.n_fast
 
+    @classmethod
+    def empty(cls, n: int, fast: bool) -> "BatchResult":
+        """A zeroed result for ``n`` scenarios, all marked ``fast``."""
+        return cls(
+            utilities=np.zeros(n, dtype=np.float64),
+            deadline_miss=np.zeros(n, dtype=bool),
+            switch_counts=np.zeros(n, dtype=np.int64),
+            faults_observed=np.zeros(n, dtype=np.int64),
+            switch_chains=[()] * n,
+            fast_path=np.full(n, fast, dtype=bool),
+        )
+
+    def record(self, i: int, outcome) -> None:
+        """Store the oracle's outcome for scenario ``i``."""
+        self.utilities[i] = outcome.utility
+        self.deadline_miss[i] = not outcome.met_all_hard_deadlines
+        self.switch_counts[i] = len(outcome.switches)
+        self.faults_observed[i] = outcome.faults_observed
+        self.switch_chains[i] = outcome.switches
+
 
 @dataclass
 class _Cohort:
@@ -143,32 +163,16 @@ class BatchSimulator:
                 f"({batch.names!r} vs {self.capp.names!r})"
             )
         n = batch.n_scenarios
-        result = BatchResult(
-            utilities=np.zeros(n, dtype=np.float64),
-            deadline_miss=np.zeros(n, dtype=bool),
-            switch_counts=np.zeros(n, dtype=np.int64),
-            faults_observed=np.zeros(n, dtype=np.int64),
-            switch_chains=[()] * n,
-            fast_path=np.zeros(n, dtype=bool),
-        )
-        result.fast_path[:] = True
+        result = BatchResult.empty(n, fast=True)
         self._run_cohorts(batch, np.arange(n, dtype=np.int64), result)
         for i in np.flatnonzero(~result.fast_path):
             self._run_oracle(batch, int(i), result)
         return result
 
-    # ------------------------------------------------------------------
-    # Fallback
-    # ------------------------------------------------------------------
     def _run_oracle(
         self, batch: ScenarioBatch, i: int, result: BatchResult
     ) -> None:
-        outcome = self._oracle.run(batch.scenario(i))
-        result.utilities[i] = outcome.utility
-        result.deadline_miss[i] = not outcome.met_all_hard_deadlines
-        result.switch_counts[i] = len(outcome.switches)
-        result.faults_observed[i] = outcome.faults_observed
-        result.switch_chains[i] = outcome.switches
+        result.record(i, self._oracle.run(batch.scenario(i)))
 
     # ------------------------------------------------------------------
     # Segment-stepped cohort propagation
@@ -617,6 +621,22 @@ class BatchSimulator:
         result.faults_observed[members] = observed_final
         for i in members:
             result.switch_chains[int(i)] = chain
+
+
+class ReferenceSimulator:
+    """The ``engine="reference"`` member of the ``run_batch`` family:
+    every scenario replayed by the :class:`OnlineScheduler` oracle
+    itself, so every scenario counts as a fallback."""
+
+    def __init__(self, app: Application, plan: Union[QSTree, FSchedule]):
+        self._oracle = OnlineScheduler(app, plan, record_events=False)
+
+    def run_batch(self, batch: ScenarioBatch) -> BatchResult:
+        scenarios = batch.scenarios()
+        result = BatchResult.empty(len(scenarios), fast=False)
+        for i, scenario in enumerate(scenarios):
+            result.record(i, self._oracle.run(scenario))
+        return result
 
 
 def simulate_batch(

@@ -3,8 +3,9 @@
 :class:`ThreadedEvaluator` is the ``mode="threads"`` executor behind
 :class:`~repro.execution.ExecutionConfig`: it splits the scenario
 index range into the same contiguous shards as the process executor
-(:func:`~repro.runtime.engine.parallel.shard_bounds`) and runs them on
-a persistent :class:`~concurrent.futures.ThreadPoolExecutor`.  The
+(:func:`~repro.runtime.engine.parallel.shard_bounds`) and runs the
+same shard body (:func:`~repro.runtime.engine.parallel.simulate_shard`)
+on a persistent :class:`~concurrent.futures.ThreadPoolExecutor`.  The
 kernel's ``ctypes`` entry point releases the GIL for the whole batch
 call, so the shard threads genuinely overlap on multiple cores — with
 none of the ``multiprocessing`` machinery (no fork, no shared-memory
@@ -17,12 +18,11 @@ process executor uses, so outcomes are **bit-identical** to an inline
 ``workers=1`` run for any thread count
 (``tests/test_threaded_executor.py`` gates this differentially).
 
-Threading only pays off when the GIL is actually released, so every
-evaluation that cannot run threaded **falls back to process sharding**
-with a counted reason (:func:`thread_stats`):
+Threads need the kernel — :class:`~repro.execution.ExecutionConfig`
+rejects a non-kernel ``threads`` config when it is built.  An
+evaluation that still cannot run threaded **falls back to process
+sharding** with a counted reason (:func:`thread_stats`):
 
-* ``engine-not-kernel`` — the NumPy and reference engines hold the
-  GIL; process sharding is the right tool for them;
 * ``kernel-unavailable`` — no C compiler / kernel build failure; the
   kernel simulator itself would degrade to the (GIL-bound) NumPy
   engine, annulling the point of threads;
@@ -41,19 +41,16 @@ deterministic.
 
 from __future__ import annotations
 
-import sys
-import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.errors import RuntimeModelError
-from repro.execution import ExecutionConfig
-from repro.runtime.engine.batch import ScenarioBatch
 from repro.runtime.engine.parallel import (
-    _ShardRaw,
+    ShardedExecutor,
+    _chaos_plan,
     merge_shard_outcomes,
-    shard_bounds,
+    simulate_shard,
 )
 
 
@@ -63,9 +60,9 @@ class ThreadStats:
 
     ``evaluations`` counts plan evaluations that actually ran on the
     thread pool, ``shards`` the shard tasks they dispatched, and
-    ``fallbacks`` maps each fallback reason (``engine-not-kernel``,
-    ``kernel-unavailable``, ``chaos``) to how many evaluations it
-    re-routed to process sharding.
+    ``fallbacks`` maps each fallback reason (``kernel-unavailable``,
+    ``chaos``) to how many evaluations it re-routed to process
+    sharding.
     """
 
     evaluations: int = 0
@@ -121,94 +118,24 @@ def reset_thread_stats() -> None:
     _GLOBAL_STATS.fallbacks.clear()
 
 
-def _chaos_plan():
-    """The active chaos plan, without importing the chaos module (the
-    same no-cycle idiom as the process pool's)."""
-    module = sys.modules.get("repro.pipeline.chaos")
-    return module.current() if module is not None else None
-
-
-def _run_shard(
-    simulator, batches: Dict[int, ScenarioBatch], lo: int, hi: int
-) -> _ShardRaw:
-    """Thread task: simulate scenarios ``[lo, hi)`` of every set.
-
-    Slices are NumPy views into the parent's packed arrays — no
-    copies.  Runs entirely off the GIL while the kernel call is in
-    flight; the raw result shape matches the process workers', so the
-    shared merge helper applies.
-    """
-    out: _ShardRaw = {}
-    for faults, batch in batches.items():
-        piece = ScenarioBatch(
-            batch.names,
-            batch.durations[lo:hi],
-            batch.fault_counts[lo:hi],
-        )
-        result = simulator.run_batch(piece)
-        out[faults] = (
-            [float(u) for u in result.utilities],
-            int(result.deadline_miss.sum()),
-            int(result.switch_counts.sum()),
-            int(result.faults_observed.sum()),
-            result.n_fallback,
-        )
-    return out
-
-
-class ThreadedEvaluator:
+class ThreadedEvaluator(ShardedExecutor):
     """Deterministic thread-sharded Monte-Carlo evaluation.
 
     Constructed by :meth:`MonteCarloEvaluator.executor` for
-    ``mode="threads"`` configs; ``source`` supplies the packed
-    scenario batches (shared, never re-derived) and — like the process
-    executor — is held weakly to avoid an ownership cycle.
-    ``evaluate`` returns the same ``{fault count: EvaluationOutcome}``
-    mapping an inline evaluator produces.
+    ``mode="threads"`` configs (see :class:`ShardedExecutor`).
     """
 
     def __init__(self, source, execution) -> None:
-        config = ExecutionConfig.coerce(execution)
-        if config.mode != "threads":
+        super().__init__(source, execution)
+        if self.execution.mode != "threads":
             raise RuntimeModelError(
                 f"ThreadedEvaluator needs mode='threads', got "
-                f"{config.spec()!r}"
+                f"{self.execution.spec()!r}"
             )
-        self.execution = config
-        self.engine = config.engine
-        self.workers = config.workers
-        self.app = source.app
-        self.n_scenarios = source.n_scenarios
-        self.fault_counts = list(source.fault_counts)
-        self.seed = source.seed
-        self._source_ref = weakref.ref(source)
-        self._own_source = None
         self._pool: Optional[ThreadPoolExecutor] = None
         #: plan key → per-shard simulators, or None when the kernel
         #: could not materialize for that plan (sticky fallback).
         self._plan_sims: Dict[int, Optional[List]] = {}
-        self._plan_keys: Dict[int, Tuple[object, int]] = {}
-        self._plan_counter = 0
-
-    # ------------------------------------------------------------------
-    # Sources and lifecycle
-    # ------------------------------------------------------------------
-    def _source(self):
-        """The evaluator supplying scenario sets (derived if absent)."""
-        if self._source_ref is not None:
-            source = self._source_ref()
-            if source is not None:
-                return source
-        if self._own_source is None:
-            from repro.evaluation.montecarlo import MonteCarloEvaluator
-
-            self._own_source = MonteCarloEvaluator(
-                self.app,
-                n_scenarios=self.n_scenarios,
-                fault_counts=self.fault_counts,
-                seed=self.seed,
-            )
-        return self._own_source
 
     def _ensure_pool(self) -> ThreadPoolExecutor:
         if self._pool is None:
@@ -224,28 +151,7 @@ class ThreadedEvaluator:
             self._pool.shutdown(wait=True)
             self._pool = None
         self._plan_sims.clear()
-        self._plan_keys.clear()
-        if self._own_source is not None:
-            self._own_source.close()
-            self._own_source = None
-
-    def __enter__(self) -> "ThreadedEvaluator":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
-    # Evaluation
-    # ------------------------------------------------------------------
-    def _plan_key(self, plan) -> int:
-        """Stable plan identity (same idiom as the process executor)."""
-        entry = self._plan_keys.get(id(plan))
-        if entry is None or entry[0] is not plan:
-            self._plan_counter += 1
-            entry = (plan, self._plan_counter)
-            self._plan_keys[id(plan)] = entry
-        return entry[1]
+        super().close()
 
     def _simulators_for(self, plan, shards: int) -> Optional[List]:
         """One :class:`KernelSimulator` per shard, or ``None`` when the
@@ -267,15 +173,7 @@ class ThreadedEvaluator:
                     KernelSimulator(self.app, plan)
                     for _ in range(shards - 1)
                 ]
-        sims = self._plan_sims[key]
-        if sims is not None and len(sims) < shards:  # pragma: no cover
-            from repro.runtime.engine.kernel import KernelSimulator
-
-            sims += [
-                KernelSimulator(self.app, plan)
-                for _ in range(shards - len(sims))
-            ]
-        return sims
+        return self._plan_sims[key]
 
     def _process_fallback(self, plan) -> Dict[int, "EvaluationOutcome"]:
         """Re-route one evaluation through process sharding (the
@@ -283,8 +181,7 @@ class ThreadedEvaluator:
         config = replace(self.execution, mode="processes")
         return self._source().executor(config).evaluate(plan)
 
-    def evaluate(self, plan) -> Dict[int, "EvaluationOutcome"]:
-        """Run all scenario sets against ``plan`` across the threads."""
+    def _evaluate_sharded(self, plan, bounds) -> Dict[int, "EvaluationOutcome"]:
         stats = thread_stats()
         chaos = _chaos_plan()
         if chaos is not None:
@@ -293,36 +190,20 @@ class ThreadedEvaluator:
             except RuntimeError:
                 stats.count_fallback("chaos")
                 return self._process_fallback(plan)
-        if self.engine != "kernel":
-            stats.count_fallback("engine-not-kernel")
-            return self._process_fallback(plan)
-        bounds = shard_bounds(self.n_scenarios, self.workers)
         simulators = self._simulators_for(plan, len(bounds))
         if simulators is None:
             stats.count_fallback("kernel-unavailable")
             return self._process_fallback(plan)
-        source = self._source()
-        if len(bounds) == 1:
-            # One shard: inline over the sampled batches.
-            return source.evaluate(
-                plan, execution=ExecutionConfig(engine=self.engine)
-            )
         stats.evaluations += 1
         stats.shards += len(bounds)
         pool = self._ensure_pool()
+        batches = self._source().batches
         futures = [
-            pool.submit(_run_shard, simulators[i], source.batches, lo, hi)
-            for i, (lo, hi) in enumerate(bounds)
+            pool.submit(simulate_shard, simulator, batches, lo, hi)
+            for simulator, (lo, hi) in zip(simulators, bounds)
         ]
         shards = [future.result() for future in futures]
         return merge_shard_outcomes(self.fault_counts, shards)
-
-    def compare(
-        self, plans
-    ) -> Dict[str, Dict[int, "EvaluationOutcome"]]:
-        """Evaluate several named plans over one persistent thread
-        pool."""
-        return {name: self.evaluate(plan) for name, plan in plans.items()}
 
 
 __all__ = [

@@ -34,7 +34,7 @@ import dataclasses
 import json
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 from repro.service.errors import (
@@ -249,8 +249,7 @@ class ServiceState:
         """The request's Monte-Carlo routing.
 
         ``executor`` (a spec string like ``"kernel@threads:8"``)
-        replaces the server's configured routing for this request;
-        ``engine`` (deprecated) overrides just the engine of it.  A
+        replaces the server's configured routing for this request.  A
         malformed spec fails with the library's one-line enumeration
         of valid engines and modes.
         """
@@ -258,11 +257,6 @@ class ServiceState:
         from repro.execution import ExecutionConfig
 
         if "executor" in payload:
-            if "engine" in payload:
-                raise ValidationFailed(
-                    "pass either 'executor' or the deprecated "
-                    "'engine', not both"
-                )
             spec = payload["executor"]
             if not isinstance(spec, str):
                 raise ValidationFailed(
@@ -271,13 +265,6 @@ class ServiceState:
                 )
             try:
                 return ExecutionConfig.parse(spec)
-            except RuntimeModelError as exc:
-                raise ValidationFailed(str(exc))
-        if "engine" in payload:
-            try:
-                return dataclasses.replace(
-                    self.execution, engine=payload["engine"]
-                )
             except RuntimeModelError as exc:
                 raise ValidationFailed(str(exc))
         return self.execution
@@ -376,7 +363,7 @@ class ServiceState:
         app = self._decode_application(payload)
         known = {
             "application", "tree", "config", "max_schedules",
-            "scenarios", "seed", "fault_counts", "engine", "executor",
+            "scenarios", "seed", "fault_counts", "executor",
         }
         unknown = sorted(set(payload) - known)
         if unknown:

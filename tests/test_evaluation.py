@@ -138,7 +138,7 @@ class TestMonteCarloEvaluator:
         evaluator = MonteCarloEvaluator(fig1_app, n_scenarios=5)
         with pytest.raises(RuntimeModelError):
             evaluator.evaluate(ftss(fig1_app), execution="warp")
-        with pytest.raises(RuntimeModelError), pytest.deprecated_call():
+        with pytest.raises(TypeError):
             evaluator.evaluate(ftss(fig1_app), engine="warp")
 
     def test_non_positive_jobs_rejected(self, fig1_app):
@@ -147,8 +147,10 @@ class TestMonteCarloEvaluator:
                 fig1_app, n_scenarios=5, execution="batched@processes:0"
             )
         evaluator = MonteCarloEvaluator(fig1_app, n_scenarios=5)
-        with pytest.raises(RuntimeModelError), pytest.deprecated_call():
-            evaluator.evaluate(ftss(fig1_app), jobs=0)
+        with pytest.raises(RuntimeModelError):
+            evaluator.evaluate(
+                ftss(fig1_app), execution="batched@processes:0"
+            )
 
     def test_seed_determinism(self, fig1_app):
         a = MonteCarloEvaluator(fig1_app, n_scenarios=10, seed=5)

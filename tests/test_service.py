@@ -279,21 +279,23 @@ def test_evaluate_executor_field_routes_request(fig1_payload):
         assert sharded["engine"] == "batched"
         assert sharded["outcomes"] == default["outcomes"]
 
-        # The deprecated bare 'engine' field still swaps the engine.
+        # The removed bare 'engine' field is an unknown field.
         status, body, _ = http_post(
             handle.url + "/v1/evaluate", dict(request, engine="reference")
         )
-        assert status == 200
-        assert json.loads(body)["executor"] == "reference"
-
-        # Malformed specs and field conflicts fail with the library's
-        # enumerating one-liner, not a traceback.
-        status, body, _ = http_post(
-            handle.url + "/v1/evaluate",
-            dict(request, executor="warp@fibers:2"),
-        )
         assert (status, error_code(body)) == (400, "invalid-request")
-        assert "valid engines:" in json.loads(body)["error"]["message"]
+        assert "unknown field(s)" in json.loads(body)["error"]["message"]
+
+        # Malformed specs, a non-kernel threads spec and field
+        # conflicts fail with the library's enumerating one-liner, not
+        # a traceback.
+        for spec in ("warp@fibers:2", "batched@threads:2"):
+            status, body, _ = http_post(
+                handle.url + "/v1/evaluate", dict(request, executor=spec)
+            )
+            assert (status, error_code(body)) == (400, "invalid-request")
+            assert "valid engines:" in json.loads(body)["error"]["message"]
+        assert "threads need" in json.loads(body)["error"]["message"]
         status, body, _ = http_post(
             handle.url + "/v1/evaluate",
             dict(request, executor="batched", engine="kernel"),

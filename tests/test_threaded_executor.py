@@ -3,9 +3,10 @@
 The acceptance bar of the threaded executor is differential: for any
 thread count, ``kernel@threads:N`` must merge to the exact outcomes of
 an inline ``kernel`` run — same floats, same order, same counts.  The
-fallback legs pin the counted reasons (``engine-not-kernel``,
-``kernel-unavailable``, ``chaos``) and that every fallback re-routes
-through process sharding with unchanged results.
+fallback legs pin the counted reasons (``kernel-unavailable``,
+``chaos``) and that every fallback re-routes through process sharding
+with unchanged results; a non-kernel ``threads`` config never gets that
+far — it is rejected when it is built.
 """
 
 from __future__ import annotations
@@ -90,18 +91,22 @@ def test_threaded_compare_reuses_one_pool(fig1_app, kernel_cache):
 # ----------------------------------------------------------------------
 # Counted fallbacks
 # ----------------------------------------------------------------------
-@engine_smoke
-def test_non_kernel_engine_falls_back_to_processes(fig1_app):
-    """batched@threads re-routes (the NumPy engine holds the GIL)."""
-    plan = ftss(fig1_app)
+def test_non_kernel_threads_rejected_when_built(fig1_app):
+    """batched@threads is a config error (the NumPy engine holds the
+    GIL), raised before any evaluation is routed."""
+    from repro.errors import RuntimeModelError
+
     with MonteCarloEvaluator(
         fig1_app, n_scenarios=16, fault_counts=[0, 1], seed=3
     ) as evaluator:
-        inline = evaluator.evaluate(plan, execution="batched")
-        threaded = evaluator.evaluate(plan, execution="batched@threads:2")
-    assert_outcomes_identical(threaded, inline)
+        with pytest.raises(RuntimeModelError, match="threads need"):
+            evaluator.evaluate(ftss(fig1_app), execution="batched@threads:2")
+        with pytest.raises(RuntimeModelError, match="threads need"):
+            MonteCarloEvaluator(
+                fig1_app, n_scenarios=4, execution="reference@threads:2"
+            )
     assert thread_stats().evaluations == 0
-    assert thread_stats().fallbacks == {"engine-not-kernel": 1}
+    assert thread_stats().fallbacks == {}
 
 
 @engine_smoke
@@ -197,17 +202,17 @@ def test_stats_summary_and_dict_round_trip():
     stats = thread_stats()
     stats.evaluations = 2
     stats.shards = 10
-    stats.count_fallback("engine-not-kernel")
+    stats.count_fallback("kernel-unavailable")
     assert stats.n_fallbacks == 1
     assert stats.as_dict() == {
         "evaluations": 2,
         "shards": 10,
-        "fallbacks": {"engine-not-kernel": 1},
+        "fallbacks": {"kernel-unavailable": 1},
     }
     summary = stats.summary()
     assert "2 threaded evaluation(s)" in summary
     assert "10 shard(s)" in summary
-    assert "engine-not-kernel: 1" in summary
+    assert "kernel-unavailable: 1" in summary
     snapshot = stats.snapshot()
     stats.count_fallback("chaos")
-    assert snapshot.fallbacks == {"engine-not-kernel": 1}
+    assert snapshot.fallbacks == {"kernel-unavailable": 1}
